@@ -19,6 +19,9 @@
  *   dmtsim --trace btree.trc --design dmt
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +82,21 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Parse a whole unsigned decimal number, or exit through usage(). */
+std::uint64_t
+parseCount(const char *argv0, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    // strtoull alone would also take leading blanks and a sign.
+    const bool digitFirst =
+        !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
+    if (!digitFirst || *end || errno == ERANGE)
+        usage(argv0);
+    return v;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -94,16 +112,24 @@ parse(int argc, char **argv)
         else if (arg == "--design") opt.design = value();
         else if (arg == "--env") opt.env = value();
         else if (arg == "--thp") opt.thp = true;
-        else if (arg == "--scale")
-            opt.scale = 1.0 / std::strtod(value().c_str(), nullptr);
+        else if (arg == "--scale") {
+            const std::string text = value();
+            char *end = nullptr;
+            const double denom = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end || !std::isfinite(denom) ||
+                !(denom > 0.0)) {
+                usage(argv[0]);
+            }
+            opt.scale = 1.0 / denom;
+        }
         else if (arg == "--accesses")
-            opt.accesses = std::strtoull(value().c_str(), nullptr, 10);
+            opt.accesses = parseCount(argv[0], value());
         else if (arg == "--warmup")
-            opt.warmup = std::strtoull(value().c_str(), nullptr, 10);
+            opt.warmup = parseCount(argv[0], value());
         else if (arg == "--seed")
-            opt.seed = std::strtoull(value().c_str(), nullptr, 10);
+            opt.seed = parseCount(argv[0], value());
         else if (arg == "--batch") {
-            opt.batch = std::strtoull(value().c_str(), nullptr, 10);
+            opt.batch = parseCount(argv[0], value());
             if (opt.batch == 0)
                 usage(argv[0]);
         }
@@ -116,8 +142,8 @@ parse(int argc, char **argv)
         else if (arg == "--audit") opt.audit = true;
         else if (arg.rfind("--audit=", 0) == 0) {
             opt.audit = true;
-            opt.auditInterval = std::strtoull(
-                arg.c_str() + std::strlen("--audit="), nullptr, 10);
+            opt.auditInterval = parseCount(
+                argv[0], arg.substr(std::strlen("--audit=")));
         }
         else usage(argv[0]);
     }

@@ -1,7 +1,6 @@
 #include "os/address_space.hh"
 
 #include "common/log.hh"
-#include "common/ordered.hh"
 
 namespace dmt
 {
@@ -15,16 +14,27 @@ AddressSpace::AddressSpace(Memory &mem, BuddyAllocator &allocator,
 
 AddressSpace::~AddressSpace()
 {
-    // Free data frames before the page table tears itself down, in
-    // sorted frame order: the release order shapes the buddy free
-    // lists, which later allocations (and thus every downstream
-    // counter) observe.
-    for (const Pfn pfn : sortedKeys(frameToVa_)) {
-        const int order =
-            frameToVa_.at(pfn).second == PageSize::Size2M ? 9 : 0;
-        allocator_.freePages(pfn, order);
-    }
-    frameToVa_.clear();
+    // Free data frames before the page table tears itself down: one
+    // freeContig() per run of physically consecutive owned frames.
+    // The buddy allocator coalesces maximally, so its free lists do
+    // not depend on the order frames come back in.
+    Pfn runBase = 0;
+    std::uint64_t runPages = 0;
+    pt_.forEachLeaf([&](Addr, Pfn pfn, PageSize size) {
+        if (size == PageSize::Size4K && spliced_.count(pfn))
+            return;
+        const std::uint64_t pages = pageBytesOf(size) >> pageShift;
+        if (runPages > 0 && pfn == runBase + runPages) {
+            runPages += pages;
+            return;
+        }
+        if (runPages > 0)
+            allocator_.freeContig(runBase, runPages);
+        runBase = pfn;
+        runPages = pages;
+    });
+    if (runPages > 0)
+        allocator_.freeContig(runBase, runPages);
 }
 
 const Vma &
@@ -79,7 +89,6 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
                 allocator_.allocPages(9, FrameKind::Movable);
             if (frame) {
                 pt_.map(hugeBase, *frame, PageSize::Size2M);
-                frameToVa_[*frame] = {hugeBase, PageSize::Size2M};
                 dataFrames_ += 512;
                 ++hugeMappings_;
                 return;
@@ -91,7 +100,6 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
     if (!frame)
         fatal("out of physical memory for data pages");
     pt_.map(pageBase, *frame, PageSize::Size4K);
-    frameToVa_[*frame] = {pageBase, PageSize::Size4K};
     ++dataFrames_;
 }
 
@@ -132,9 +140,9 @@ AddressSpace::releaseRange(Addr base, Addr size)
         const int order = tr->size == PageSize::Size2M ? 9 : 0;
         DMT_ASSERT(tr->size != PageSize::Size1G,
                    "1 GB data pages are not allocated by this OS");
-        // Untracked frames were spliced in by someone else
-        // (replaceBacking) and stay owned by them.
-        if (frameToVa_.erase(tr->pfn) > 0) {
+        // Spliced frames (replaceBacking) stay owned by their
+        // splicer; a 2 MB leaf is never spliced.
+        if (order == 9 || spliced_.erase(tr->pfn) == 0) {
             allocator_.freePages(tr->pfn, order);
             dataFrames_ -= (order == 9) ? 512 : 1;
             if (order == 9)
@@ -151,17 +159,11 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
     DMT_ASSERT(tr.has_value(), "replaceBacking: va 0x%llx unmapped",
                static_cast<unsigned long long>(va));
     if (tr->size == PageSize::Size2M) {
-        const Addr hugeVa = pageAlignDown(va, PageSize::Size2M);
-        const Pfn basePfn = tr->pfn;
-        const bool ok = pt_.demote2M(hugeVa);
+        const bool ok =
+            pt_.demote2M(pageAlignDown(va, PageSize::Size2M));
         DMT_ASSERT(ok, "demote2M failed in replaceBacking");
-        frameToVa_.erase(basePfn);
         DMT_ASSERT(hugeMappings_ > 0, "huge mapping underflow");
         --hugeMappings_;
-        for (int i = 0; i < 512; ++i) {
-            frameToVa_[basePfn + i] = {hugeVa + i * pageSize,
-                                       PageSize::Size4K};
-        }
         tr = pt_.translate(va);
     }
     DMT_ASSERT(tr->size == PageSize::Size4K,
@@ -169,29 +171,34 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
     const Addr pageVa = pageAlignDown(va);
     const Pfn old = tr->pfn;
     pt_.updateLeaf(pageVa, new_frame);
-    // Free the displaced frame only if this space owns it. An
-    // untracked frame was itself spliced in earlier (e.g. a prior
-    // gTEA grant re-pointed here) and stays owned by its splicer.
-    if (frameToVa_.erase(old) > 0) {
+    // Free the displaced frame only if this space owns it. A spliced
+    // frame (e.g. a prior gTEA grant re-pointed here) stays owned by
+    // its splicer.
+    if (spliced_.erase(old) == 0) {
         allocator_.freePages(old, 0);
         DMT_ASSERT(dataFrames_ > 0, "data frame underflow");
         --dataFrames_;
     }
+    const bool fresh = spliced_.insert(new_frame).second;
+    DMT_ASSERT(fresh, "replaceBacking: frame 0x%llx spliced twice",
+               static_cast<unsigned long long>(new_frame));
 }
 
 void
 AddressSpace::onFrameRelocated(Pfn from, Pfn to)
 {
-    auto it = frameToVa_.find(from);
-    if (it == frameToVa_.end())
+    std::optional<Addr> va;
+    pt_.forEachLeaf([&](Addr leaf_va, Pfn pfn, PageSize size) {
+        if (pfn != from)
+            return;
+        DMT_ASSERT(size == PageSize::Size4K,
+                   "compaction moves 4 KB frames only");
+        va = leaf_va;
+    });
+    if (!va)
         return;  // frame belongs to another address space
-    const auto [va, size] = it->second;
-    DMT_ASSERT(size == PageSize::Size4K,
-               "compaction moves 4 KB frames only");
     mem_.copyRange(to << pageShift, from << pageShift, pageSize);
-    pt_.updateLeaf(va, to);
-    frameToVa_.erase(it);
-    frameToVa_[to] = {va, size};
+    pt_.updateLeaf(*va, to);
 }
 
 } // namespace dmt

@@ -4,8 +4,9 @@
  *
  * This is the simulated OS's per-process memory manager. It allocates
  * movable data frames from the buddy allocator, optionally as 2 MB
- * transparent huge pages, and keeps a reverse map so compaction can
- * fix up PTEs when frames move.
+ * transparent huge pages. The page table is the only record of which
+ * frames it owns: every leaf frame is owned except the few spliced in
+ * by replaceBacking(), which are kept in a small set.
  *
  * For virtualization, the same class serves every level: a guest
  * address space is simply constructed over a guest-physical allocator
@@ -16,7 +17,7 @@
 #define DMT_OS_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <set>
 
 #include "common/types.hh"
 #include "mem/memory.hh"
@@ -89,7 +90,8 @@ class AddressSpace
 
     /**
      * Compaction callback: frame `from` moved to `to`; update the PTE.
-     * Wire via BuddyAllocator::setRelocationHook.
+     * Wire via BuddyAllocator::setRelocationHook. Finds the leaf with
+     * one walk of the whole tree, which suits the test-only use.
      */
     void onFrameRelocated(Pfn from, Pfn to);
 
@@ -98,8 +100,9 @@ class AddressSpace
      * with a caller-owned frame (the vm_insert_pages analogue used by
      * the pvDMT hypercall to splice host-contiguous gTEA frames into
      * the guest). A covering 2 MB mapping is demoted first. The old
-     * frame is freed; the new frame is *not* tracked and remains
-     * owned by the caller.
+     * frame is freed unless it was itself spliced in; the new frame
+     * stays owned by the caller and is never freed by this space,
+     * not even when the caller releases it before this space dies.
      */
     void replaceBacking(Addr va, Pfn new_frame);
 
@@ -121,8 +124,8 @@ class AddressSpace
     AddressSpaceConfig config_;
     VmaTree vmas_;
     RadixPageTable pt_;
-    /** Reverse map: base frame -> (va, size) for relocation fix-up. */
-    std::unordered_map<Pfn, std::pair<Addr, PageSize>> frameToVa_;
+    /** Frames mapped here but owned by their splicer. */
+    std::set<Pfn> spliced_;
     std::uint64_t dataFrames_ = 0;
     std::uint64_t hugeMappings_ = 0;
 };

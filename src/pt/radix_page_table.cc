@@ -210,6 +210,7 @@ RadixPageTable::map(Addr va, Pfn pfn, PageSize size)
         flags |= pte_flags::pageSize;
     mem_.write64(slot, makePte(pfn, flags));
     ++mappedLeaves_;
+    ++leafEpoch_;
     DMT_AUDIT_EVENT(auditor_);
 }
 
@@ -227,6 +228,7 @@ RadixPageTable::unmap(Addr va)
             mem_.write64(slot, 0);
             DMT_ASSERT(mappedLeaves_ > 0, "leaf accounting underflow");
             --mappedLeaves_;
+            ++leafEpoch_;
             pruneEmptyTables(va);
             DMT_AUDIT_EVENT(auditor_);
             return;
@@ -285,11 +287,7 @@ RadixPageTable::translate(Addr va) const
             return std::nullopt;
         const bool leaf = (level == 1) || pteIsHuge(pte);
         if (leaf) {
-            PageSize size = PageSize::Size4K;
-            if (level == 2)
-                size = PageSize::Size2M;
-            else if (level == 3)
-                size = PageSize::Size1G;
+            const PageSize size = leafSizeAt(level);
             const Addr offset = va & (pageBytesOf(size) - 1);
             return Translation{ptePfn(pte), size,
                                (ptePfn(pte) << pageShift) + offset};
@@ -352,11 +350,7 @@ RadixPageTable::prefetchWalks(const Addr *vas, PrefetchedWalk *out,
                     continue;
                 }
                 if (level == 1 || pteIsHuge(pte)) {
-                    PageSize size = PageSize::Size4K;
-                    if (level == 2)
-                        size = PageSize::Size2M;
-                    else if (level == 3)
-                        size = PageSize::Size1G;
+                    const PageSize size = leafSizeAt(level);
                     o.pa = (ptePfn(pte) << pageShift) +
                            (vas[chunk + i] &
                             (pageBytesOf(size) - 1));
@@ -406,6 +400,7 @@ RadixPageTable::promote2M(Addr va)
     mem_.write64(l2slot,
                  makePte(basePfn, leafFlags | pte_flags::pageSize));
     mappedLeaves_ -= 511;
+    ++leafEpoch_;
     freeTable(1, spanBase(va, 1), *l1);
     DMT_AUDIT_EVENT(auditor_);
     return true;
@@ -431,6 +426,7 @@ RadixPageTable::demote2M(Addr va)
                      makePte(basePfn + i, leafFlags));
     mem_.write64(l2slot, makePte(l1, tableFlags));
     mappedLeaves_ += 511;
+    ++leafEpoch_;
     DMT_AUDIT_EVENT(auditor_);
     return true;
 }
@@ -451,6 +447,7 @@ RadixPageTable::updateLeaf(Addr va, Pfn new_pfn)
             mem_.write64(slot,
                          ((new_pfn << pageShift) & pteFrameMask) |
                              flagBits);
+            ++leafEpoch_;
             DMT_AUDIT_EVENT(auditor_);
             return;
         }

@@ -220,6 +220,29 @@ class RadixPageTable
      */
     void relocateLeafTableToScattered(Addr va, int level);
 
+    /**
+     * Visit every leaf mapping in ascending VA order, calling
+     * fn(va, pfn, size) with the leaf's base VA. One pass over the
+     * tree instead of a translate() per 4 KB page; the callback must
+     * not modify this table. VAs are rebuilt from the radix indices
+     * (no sign extension), exactly the bits map() consumed.
+     */
+    template <typename Fn>
+    void
+    forEachLeaf(Fn &&fn) const
+    {
+        visitLeaves(rootPfn_, levels_, 0, fn);
+    }
+
+    /**
+     * Count of leaf-mapping changes so far: map(), unmap(),
+     * updateLeaf(), promote2M() and demote2M() each bump it. Anything
+     * that memoizes this table's translations is exact while the
+     * epoch it recorded is still current. Moving a table page
+     * (relocateLeafTable*) changes no translation and keeps it.
+     */
+    std::uint64_t leafEpoch() const { return leafEpoch_; }
+
     /** @return frame of the table at `level` on va's path, if any. */
     std::optional<Pfn> tableFrameAt(Addr va, int level) const;
 
@@ -308,6 +331,36 @@ class RadixPageTable
     /** Free empty tables on the path to va, bottom-up. */
     void pruneEmptyTables(Addr va);
 
+    /** @return the page size of a leaf found at `level`. */
+    static PageSize
+    leafSizeAt(int level)
+    {
+        return level == 1   ? PageSize::Size4K
+               : level == 2 ? PageSize::Size2M
+                            : PageSize::Size1G;
+    }
+
+    /** Recursive traversal behind forEachLeaf(). */
+    template <typename Fn>
+    void
+    visitLeaves(Pfn table_pfn, int level, Addr span_base, Fn &fn) const
+    {
+        const Addr table = table_pfn << pageShift;
+        const int entryShift = pageShift + 9 * (level - 1);
+        for (int i = 0; i < 512; ++i) {
+            const std::uint64_t pte =
+                win_.read(mem_, table + i * pteSize);
+            if (!pteIsPresent(pte))
+                continue;
+            const Addr va =
+                span_base + (static_cast<Addr>(i) << entryShift);
+            if (level == 1 || pteIsHuge(pte))
+                fn(va, ptePfn(pte), leafSizeAt(level));
+            else
+                visitLeaves(ptePfn(pte), level - 1, va, fn);
+        }
+    }
+
     Memory &mem_;
     /**
      * Cached zero-copy read window over mem_ (empty for translated
@@ -321,6 +374,7 @@ class RadixPageTable
     Pfn rootPfn_;
     std::uint64_t tablePages_ = 0;
     std::uint64_t mappedLeaves_ = 0;
+    std::uint64_t leafEpoch_ = 0;
     /** Table frames owned by the provider: pfn -> (level, spanBase). */
     std::unordered_map<Pfn, std::pair<int, Addr>> providerOwned_;
     InvariantAuditor *auditor_ = nullptr;

@@ -22,26 +22,6 @@ designName(Design design, bool virtualized)
     return "?";
 }
 
-void
-forEachLeaf(const AddressSpace &space,
-            const std::function<void(Addr, Pfn, PageSize)> &fn)
-{
-    const auto &pt = space.pageTable();
-    for (const Vma &vma : space.vmas().all()) {
-        Addr va = vma.base;
-        while (va < vma.end()) {
-            const auto tr = pt.translate(va);
-            if (!tr) {
-                va += pageSize;
-                continue;
-            }
-            const Addr base = pageAlignDown(va, tr->size);
-            fn(base, tr->pfn, tr->size);
-            va = base + pageBytesOf(tr->size);
-        }
-    }
-}
-
 namespace
 {
 
@@ -68,17 +48,17 @@ ecptSizes(ThpMode thp)
 void
 mirrorToFpt(const AddressSpace &space, FlatPageTable &fpt)
 {
-    forEachLeaf(space, [&](Addr va, Pfn pfn, PageSize size) {
-        fpt.map(va, pfn, size);
-    });
+    space.pageTable().forEachLeaf(
+        [&](Addr va, Pfn pfn, PageSize size) { fpt.map(va, pfn, size); });
 }
 
 void
 mirrorToEcpt(const AddressSpace &space, EcptTable &ecpt)
 {
-    forEachLeaf(space, [&](Addr va, Pfn pfn, PageSize size) {
-        ecpt.insert(va, pfn, size);
-    });
+    space.pageTable().forEachLeaf(
+        [&](Addr va, Pfn pfn, PageSize size) {
+            ecpt.insert(va, pfn, size);
+        });
 }
 
 MappingConfig

@@ -84,11 +84,6 @@ struct TestbedConfig
 TestbedConfig scaledTestbedConfig(double structure_scale,
                                   ThpMode thp = ThpMode::Never);
 
-/** Apply a page-size-aware visitor to every leaf of a space. */
-void forEachLeaf(
-    const AddressSpace &space,
-    const std::function<void(Addr va, Pfn pfn, PageSize size)> &fn);
-
 /** Native-environment testbed. */
 class NativeTestbed
 {

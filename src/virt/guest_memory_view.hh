@@ -3,7 +3,8 @@
  * Guest-physical memory view.
  *
  * Presents a guest's physical address space as a Memory object by
- * translating every access into the backing (host-)physical memory.
+ * translating every access into the backing (host-)physical memory
+ * through the page table of the container process that maps it.
  * Guest page tables are built on this view, so their entries are
  * genuinely resident at host physical addresses — which is what the
  * 2-D walker and the DMT fetcher charge cache accesses against.
@@ -14,48 +15,108 @@
 #ifndef DMT_VIRT_GUEST_MEMORY_VIEW_HH
 #define DMT_VIRT_GUEST_MEMORY_VIEW_HH
 
-#include <functional>
-#include <utility>
+#include <array>
+#include <cstdint>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "mem/memory.hh"
+#include "pt/radix_page_table.hh"
 
 namespace dmt
 {
 
-/** Memory view applying a gPA -> backing-PA translation per access. */
+/**
+ * Memory view resolving guest-physical address gpa in [0, bytes) to
+ * the backing address table.translate(base_va + gpa).
+ *
+ * Resolutions are memoized per 4 KB page in a small direct-mapped
+ * table. Each entry keeps the table's leafEpoch() it was filled
+ * under and is ignored once the epoch moves, so a page whose backing
+ * was remapped, re-pointed or unmapped is resolved afresh. A composed
+ * view checks only its own table; the view backing it checks its own.
+ */
 class GuestMemoryView : public Memory
 {
   public:
-    /** Translates a guest-physical address to a backing address. */
-    using TranslateFn = std::function<Addr(Addr)>;
-
-    GuestMemoryView(Memory &backing, TranslateFn translate)
-        : backing_(backing), translate_(std::move(translate))
+    /**
+     * @param backing memory the container table's frames live in
+     * @param table container page table mapping guest-physical memory
+     * @param base_va page-aligned VA where the container maps gPA 0
+     * @param bytes guest-physical size; accesses beyond it panic
+     */
+    GuestMemoryView(Memory &backing, const RadixPageTable &table,
+                    Addr base_va, Addr bytes)
+        : backing_(backing), table_(table), baseVa_(base_va),
+          bytes_(bytes)
     {
+        DMT_ASSERT((base_va & pageMask) == 0,
+                   "guest memory must be mapped page aligned");
+    }
+
+    /**
+     * @return the backing address of a guest-physical address; panics
+     *         if it is beyond guest memory or its page is unbacked.
+     */
+    Addr
+    resolve(Addr gpa) const
+    {
+        const Addr page = gpa >> pageShift;
+        const Slot &slot = memo_[page & (memo_.size() - 1)];
+        if (slot.page == page && slot.epoch == table_.leafEpoch())
+            [[likely]]
+            return slot.base | (gpa & pageMask);
+        return resolveMiss(gpa);
     }
 
     std::uint64_t
     read64(Addr pa) const override
     {
-        return backing_.read64(translate_(pa));
+        return backing_.read64(resolve(pa));
     }
 
     void
     hostPrefetch64(Addr pa) const override
     {
-        backing_.hostPrefetch64(translate_(pa));
+        backing_.hostPrefetch64(resolve(pa));
     }
 
     void
     write64(Addr pa, std::uint64_t value) override
     {
-        backing_.write64(translate_(pa), value);
+        backing_.write64(resolve(pa), value);
     }
 
   private:
+    /** One memoized page: gPA page number -> backing page address. */
+    struct Slot
+    {
+        Addr page = ~Addr{0};  //!< never a valid page number
+        std::uint64_t epoch = 0;
+        Addr base = 0;
+    };
+
+    Addr
+    resolveMiss(Addr gpa) const
+    {
+        DMT_ASSERT(gpa < bytes_,
+                   "guest physical address 0x%llx beyond VM memory",
+                   static_cast<unsigned long long>(gpa));
+        const auto tr = table_.translate(baseVa_ + gpa);
+        DMT_ASSERT(tr.has_value(),
+                   "guest physical memory not backed at gpa 0x%llx",
+                   static_cast<unsigned long long>(gpa));
+        const Addr page = gpa >> pageShift;
+        memo_[page & (memo_.size() - 1)] = {page, table_.leafEpoch(),
+                                            tr->pa & ~pageMask};
+        return tr->pa;
+    }
+
     Memory &backing_;
-    TranslateFn translate_;
+    const RadixPageTable &table_;
+    Addr baseVa_;
+    Addr bytes_;
+    mutable std::array<Slot, 1024> memo_{};
 };
 
 } // namespace dmt

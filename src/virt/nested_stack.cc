@@ -33,8 +33,8 @@ NestedStack::NestedStack(Memory &l0_mem, BuddyAllocator &l0_alloc,
     l2Alloc_ = std::make_unique<BuddyAllocator>(
         config.l2Bytes >> pageShift);
     l2View_ = std::make_unique<GuestMemoryView>(
-        vm1_->guestMem(),
-        [this](Addr l2pa) { return l2paToL1pa(l2pa); });
+        vm1_->guestMem(), l1Container_->pageTable(),
+        config.l2paBaseL1va, config.l2Bytes);
 
     // The L2 guest workload process.
     AddressSpaceConfig l2Cfg;
@@ -95,10 +95,7 @@ NestedStack::l2paToL1va(Addr l2pa) const
 Addr
 NestedStack::l2paToL1pa(Addr l2pa) const
 {
-    const auto tr =
-        l1Container_->pageTable().translate(l2paToL1va(l2pa));
-    DMT_ASSERT(tr.has_value(), "L2 physical memory not backed by L1");
-    return tr->pa;
+    return l2View_->resolve(l2pa);
 }
 
 Addr

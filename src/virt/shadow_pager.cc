@@ -49,23 +49,11 @@ ShadowPager::shadowOne(Addr gva, const Translation &gtr)
 void
 ShadowPager::syncAll()
 {
-    const auto &gpt = guest_.pageTable();
-    for (const Vma &vma : guest_.vmas().all()) {
-        Addr va = vma.base;
-        while (va < vma.end()) {
-            const auto gtr = gpt.translate(va);
-            if (!gtr) {
-                va += pageSize;
-                continue;
-            }
-            const Addr base = pageAlignDown(va, gtr->size);
-            Translation aligned = *gtr;
-            aligned.pa = (gtr->pfn << pageShift);
-            shadowOne(base, aligned);
+    guest_.pageTable().forEachLeaf(
+        [this](Addr va, Pfn pfn, PageSize size) {
+            shadowOne(va, Translation{pfn, size, pfn << pageShift});
             ++exits_;
-            va = base + pageBytesOf(gtr->size);
-        }
-    }
+        });
 }
 
 void

@@ -29,7 +29,8 @@ VirtualMachine::VirtualMachine(Memory &host_mem,
     guestAlloc_ = std::make_unique<BuddyAllocator>(
         config.vmBytes >> pageShift);
     guestView_ = std::make_unique<GuestMemoryView>(
-        host_mem, [this](Addr gpa) { return gpaToHostPa(gpa); });
+        host_mem, container_->pageTable(), config.gpaBaseHva,
+        config.vmBytes);
 
     // The guest OS's workload process.
     AddressSpaceConfig guestCfg;
@@ -42,15 +43,7 @@ VirtualMachine::VirtualMachine(Memory &host_mem,
 Addr
 VirtualMachine::gpaToHostPa(Addr gpa) const
 {
-    DMT_ASSERT(gpa < config_.vmBytes,
-               "guest physical address 0x%llx beyond VM memory",
-               static_cast<unsigned long long>(gpa));
-    const auto tr =
-        container_->pageTable().translate(gpaToHva(gpa));
-    DMT_ASSERT(tr.has_value(),
-               "guest physical memory not backed at gpa 0x%llx",
-               static_cast<unsigned long long>(gpa));
-    return tr->pa;
+    return guestView_->resolve(gpa);
 }
 
 } // namespace dmt

@@ -75,7 +75,8 @@ class VirtualMachine
 
     /**
      * Resolve a guest-physical address to the host level's physical
-     * address through the container page table.
+     * address through the container page table (memoized by the
+     * guest-physical view).
      */
     Addr gpaToHostPa(Addr gpa) const;
 

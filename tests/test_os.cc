@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/physical_memory.hh"
 #include "os/address_space.hh"
 
@@ -169,6 +171,42 @@ TEST_F(SpaceFixture, ReplaceBackingDemotesHugePage)
     EXPECT_EQ(spliced->pfn, *mine);
     proc.munmap(0x40000000);
     alloc.freePages(*mine, 0);
+    alloc.checkConsistency();
+}
+
+TEST_F(SpaceFixture, SplicedFramesSurviveMunmapAndTeardown)
+{
+    const auto freeBefore = alloc.freeFrames();
+    std::vector<Pfn> spliced;
+    {
+        AddressSpaceConfig cfg;
+        cfg.thp = ThpMode::Always;
+        AddressSpace proc(mem, alloc, cfg);
+        proc.mmapAt(0x40000000, 2 * hugePageSize, VmaKind::Heap);
+        proc.mmapAt(0x100000, 16 * pageSize, VmaKind::Heap);
+        proc.mmapAt(0x200000, 8 * pageSize, VmaKind::Heap);
+        auto splice = [&](Addr va) {
+            const auto frame = alloc.allocPages(0, FrameKind::PageTable);
+            ASSERT_TRUE(frame.has_value());
+            proc.replaceBacking(va, *frame);
+            spliced.push_back(*frame);
+        };
+        splice(0x40000000 + 7 * pageSize);  // demotes a huge page
+        splice(0x100000 + 3 * pageSize);
+        // Re-splicing keeps the displaced spliced frame caller-owned.
+        splice(0x100000 + 3 * pageSize);
+        splice(0x200000 + 5 * pageSize);
+        proc.munmap(0x200000);
+        for (const Pfn pfn : spliced)
+            EXPECT_EQ(alloc.kindOf(pfn), FrameKind::PageTable);
+    }
+    // Every owned frame came back; only the spliced ones are held.
+    for (const Pfn pfn : spliced)
+        EXPECT_EQ(alloc.kindOf(pfn), FrameKind::PageTable);
+    EXPECT_EQ(alloc.freeFrames(), freeBefore - spliced.size());
+    for (const Pfn pfn : spliced)
+        alloc.freePages(pfn, 0);
+    EXPECT_EQ(alloc.freeFrames(), freeBefore);
     alloc.checkConsistency();
 }
 

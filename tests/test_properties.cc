@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "check/invariant_auditor.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -190,6 +193,76 @@ TEST_P(BuddyOrderSweep, AlignedAllocationAndCleanFree)
 
 INSTANTIATE_TEST_SUITE_P(Orders, BuddyOrderSweep,
                          ::testing::Values(0, 1, 2, 3, 5, 7, 9, 11));
+
+// Maximal coalescing makes the buddy state a function of the free set
+// alone, whatever the release order. AddressSpace teardown relies on
+// it to free runs of frames in VA order.
+TEST(BuddyReleaseOrder, ShuffledSinglesAndCoalescedRunsAgree)
+{
+    // A non-power-of-two size and a low max order exercise the
+    // out-of-range buddy and the coalescing ceiling.
+    constexpr Pfn frames = (Pfn{1} << 13) + 37;
+    constexpr int maxOrder = 8;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Rng rng(seed);
+        BuddyAllocator singles(frames, maxOrder);
+        BuddyAllocator runs(frames, maxOrder);
+        // Identical history: fill both with mixed-order, mixed-kind
+        // blocks.
+        while (singles.freeFrames() > 0) {
+            const int o = static_cast<int>(rng.below(maxOrder + 1));
+            const FrameKind kind = rng.below(2) ? FrameKind::Movable
+                                                : FrameKind::PageTable;
+            const auto pfn = singles.allocPages(o, kind);
+            ASSERT_EQ(pfn, runs.allocPages(o, kind));
+        }
+
+        // Release a clustered random subset: runs of 1-600 frames
+        // separated by kept gaps.
+        std::vector<Pfn> released;
+        for (Pfn pfn = rng.below(64); pfn < frames;) {
+            const Pfn len = std::min<Pfn>(1 + rng.below(600),
+                                          frames - pfn);
+            for (Pfn i = 0; i < len; ++i)
+                released.push_back(pfn + i);
+            pfn += len + 1 + rng.below(300);
+        }
+        for (std::size_t i = released.size(); i > 1; --i)
+            std::swap(released[i - 1], released[rng.below(i)]);
+        for (const Pfn pfn : released)
+            singles.freePages(pfn, 0);
+
+        std::sort(released.begin(), released.end());
+        std::size_t i = 0;
+        while (i < released.size()) {
+            std::size_t j = i + 1;
+            while (j < released.size() &&
+                   released[j] == released[j - 1] + 1) {
+                ++j;
+            }
+            runs.freeContig(released[i], j - i);
+            i = j;
+        }
+
+        singles.checkConsistency();
+        runs.checkConsistency();
+        EXPECT_EQ(singles.freeFrames(), runs.freeFrames());
+        for (int order = 0; order <= maxOrder; ++order) {
+            EXPECT_EQ(singles.freeBlocksAt(order),
+                      runs.freeBlocksAt(order))
+                << "seed " << seed << " order " << order;
+        }
+        for (Pfn pfn = 0; pfn < frames; ++pfn)
+            ASSERT_EQ(singles.kindOf(pfn), runs.kindOf(pfn)) << pfn;
+        // Later allocations, which every downstream counter observes,
+        // see the same free lists.
+        for (int n = 0; n < 200; ++n) {
+            const int o = static_cast<int>(rng.below(maxOrder + 1));
+            ASSERT_EQ(singles.allocPages(o, FrameKind::Movable),
+                      runs.allocPages(o, FrameKind::Movable));
+        }
+    }
+}
 
 class TlbGeometrySweep
     : public ::testing::TestWithParam<std::pair<int, int>>

@@ -56,6 +56,60 @@ TEST_F(VirtFixture, GuestViewReadsThroughTranslation)
     EXPECT_EQ(hostMem.read64(vm->gpaToHostPa(gpa)), 0xfeedull);
 }
 
+TEST_F(VirtFixture, GuestViewFollowsRepointedBacking)
+{
+    const Addr gpa = 0x123450;
+    const Addr offset = gpa & pageMask;
+    const Addr hva = vm->gpaToHva(gpa);
+    vm->guestMem().write64(gpa, 0x1111ull);
+    ASSERT_EQ(vm->guestMem().read64(gpa), 0x1111ull);  // memoized
+
+    // Splice a fresh host frame under the page.
+    const auto spliced = hostAlloc.allocPages(0, FrameKind::PageTable);
+    ASSERT_TRUE(spliced.has_value());
+    hostMem.write64((*spliced << pageShift) + offset, 0x2222ull);
+    vm->containerSpace().replaceBacking(hva, *spliced);
+    EXPECT_EQ(vm->guestMem().read64(gpa), 0x2222ull);
+    EXPECT_EQ(vm->gpaToHostPa(gpa), (*spliced << pageShift) + offset);
+
+    // Rewrite the leaf directly on the backing table, then restore.
+    const auto other = hostAlloc.allocPages(0, FrameKind::PageTable);
+    ASSERT_TRUE(other.has_value());
+    hostMem.write64((*other << pageShift) + offset, 0x3333ull);
+    auto &hostPt = vm->containerSpace().pageTable();
+    hostPt.updateLeaf(pageAlignDown(hva), *other);
+    EXPECT_EQ(vm->guestMem().read64(gpa), 0x3333ull);
+    hostPt.updateLeaf(pageAlignDown(hva), *spliced);
+    EXPECT_EQ(vm->guestMem().read64(gpa), 0x2222ull);
+    hostAlloc.freePages(*other, 0);
+}
+
+TEST_F(VirtFixture, GuestViewRejectsBadAddressesNextToMemoizedPages)
+{
+    Memory &mem = vm->guestMem();
+    const Addr bytes = vm->config().vmBytes;
+    const Addr gpa = 0x200000;
+    // Memoize the last page and a page whose neighbour goes away.
+    (void)mem.read64(bytes - 8);
+    (void)mem.read64(gpa);
+    EXPECT_DEATH((void)mem.read64(bytes), "beyond VM memory");
+    EXPECT_DEATH(
+        {
+            vm->containerSpace().pageTable().unmap(
+                vm->gpaToHva(gpa + pageSize));
+            (void)mem.read64(gpa);
+            (void)mem.read64(gpa + pageSize);
+        },
+        "not backed");
+    // A memoized page whose backing is unmapped must not be served.
+    EXPECT_DEATH(
+        {
+            vm->containerSpace().pageTable().unmap(vm->gpaToHva(gpa));
+            (void)mem.read64(gpa);
+        },
+        "not backed");
+}
+
 TEST_F(VirtFixture, GuestProcessComposesThroughBothTables)
 {
     auto &guest = vm->guestSpace();
@@ -196,6 +250,39 @@ TEST(NestedStackTest, L2ShadowPagerMapsL2paToL0pa)
         ASSERT_TRUE(str.has_value());
         EXPECT_EQ(str->pa, stack.l2paToL0pa(l2pa));
     }
+}
+
+TEST(NestedStackTest, L2ViewFollowsRepointedBackingAtBothLevels)
+{
+    PhysicalMemory l0Mem(Addr{3} << 30);
+    BuddyAllocator l0Alloc((Addr{3} << 30) >> pageShift);
+    NestedConfig cfg;
+    cfg.l1Bytes = Addr{1} << 30;
+    cfg.l2Bytes = Addr{256} << 20;
+    NestedStack stack(l0Mem, l0Alloc, cfg);
+    const Addr l2pa = 0x345678;
+    const Addr offset = l2pa & pageMask;
+    stack.l2Mem().write64(l2pa, 0x1111ull);
+    ASSERT_EQ(stack.l2Mem().read64(l2pa), 0x1111ull);  // memoized
+
+    // Repoint at L1: a fresh L1 frame now backs the L2 page.
+    const auto l1Frame = stack.vm1().guestAllocator().allocPages(
+        0, FrameKind::PageTable);
+    ASSERT_TRUE(l1Frame.has_value());
+    stack.vm1().guestMem().write64((*l1Frame << pageShift) + offset,
+                                   0x2222ull);
+    stack.l1Container().replaceBacking(stack.l2paToL1va(l2pa),
+                                       *l1Frame);
+    EXPECT_EQ(stack.l2Mem().read64(l2pa), 0x2222ull);
+
+    // Repoint at L0 underneath: only the inner view's table changed.
+    const auto l0Frame = l0Alloc.allocPages(0, FrameKind::PageTable);
+    ASSERT_TRUE(l0Frame.has_value());
+    l0Mem.write64((*l0Frame << pageShift) + offset, 0x3333ull);
+    stack.vm1().containerSpace().replaceBacking(
+        stack.vm1().gpaToHva(*l1Frame << pageShift), *l0Frame);
+    EXPECT_EQ(stack.l2Mem().read64(l2pa), 0x3333ull);
+    EXPECT_EQ(stack.l2paToL0pa(l2pa), (*l0Frame << pageShift) + offset);
 }
 
 TEST(NestedHypercallTest, CascadedGrantIsL0Contiguous)
