@@ -17,6 +17,8 @@
  * never into the deterministic report.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +32,7 @@
 
 #include "common/log.hh"
 #include "driver/campaign.hh"
+#include "driver/cli.hh"
 #include "obs/event_log.hh"
 #include "obs/export.hh"
 
@@ -89,9 +92,14 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto count = [&](std::uint64_t max = UINT64_MAX) {
+            const auto v = parseCount(value(), max);
+            if (!v)
+                usage(argv[0]);
+            return *v;
+        };
         if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.threads = static_cast<unsigned>(count(UINT_MAX));
         else if (arg == "--out") opt.out = value();
         else if (arg == "--timing-json") opt.timingJson = value();
         else if (arg == "--workloads")
@@ -104,25 +112,24 @@ parse(int argc, char **argv)
             for (const auto &d : splitList(value()))
                 opt.campaign.designs.push_back(parseDesign(d));
         } else if (arg == "--thp") opt.campaign.includeThp = true;
-        else if (arg == "--scale")
-            opt.campaign.scale =
-                1.0 / std::strtod(value().c_str(), nullptr);
+        else if (arg == "--scale") {
+            const auto scale = parseScale(value());
+            if (!scale)
+                usage(argv[0]);
+            opt.campaign.scale = *scale;
+        }
         else if (arg == "--accesses")
-            opt.campaign.sim.measureAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.sim.measureAccesses = count();
         else if (arg == "--warmup")
-            opt.campaign.sim.warmupAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.sim.warmupAccesses = count();
         else if (arg == "--seed")
-            opt.campaign.baseSeed =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.baseSeed = count();
         else if (arg == "--batch") {
             // Result-invariant knob: any batch size must produce a
             // byte-identical BENCH_campaign.json (CI diffs --batch 1
             // against the default), so it is deliberately absent
             // from the emitted config block.
-            opt.campaign.sim.batchSize =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.sim.batchSize = count();
             if (opt.campaign.sim.batchSize == 0)
                 usage(argv[0]);
         }

@@ -18,6 +18,8 @@
  * points would collide on tenant names).
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "driver/cli.hh"
 #include "host/sweep.hh"
 
 using namespace dmt;
@@ -88,19 +91,26 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto countOf = [&](const std::string &text,
+                           std::uint64_t max = UINT64_MAX) {
+            const auto v = driver::parseCount(text, max);
+            if (!v)
+                usage(argv[0]);
+            return *v;
+        };
+        auto count = [&](std::uint64_t max = UINT64_MAX) {
+            return countOf(value(), max);
+        };
         if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.threads = static_cast<unsigned>(count(UINT_MAX));
         else if (arg == "--out") opt.out = value();
         else if (arg == "--sweep") {
             opt.sweep.tenantsPerCore.clear();
             for (const auto &t : splitList(value()))
                 opt.sweep.tenantsPerCore.push_back(
-                    static_cast<unsigned>(
-                        std::strtoul(t.c_str(), nullptr, 10)));
+                    static_cast<unsigned>(countOf(t, UINT_MAX)));
         } else if (arg == "--cores")
-            opt.sweep.cores = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.sweep.cores = static_cast<unsigned>(count(UINT_MAX));
         else if (arg == "--workloads")
             opt.sweep.workloads = splitList(value());
         else if (arg == "--env")
@@ -109,35 +119,32 @@ parse(int argc, char **argv)
             opt.sweep.design = driver::parseDesign(value());
         else if (arg == "--thp") opt.sweep.thp = true;
         else if (arg == "--slice")
-            opt.sweep.sliceAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sliceAccesses = count();
         else if (arg == "--policy")
             opt.sweep.flush = parseFlushPolicy(value());
         else if (arg == "--weighted")
             opt.sweep.slice = SlicePolicy::Weighted;
         else if (arg == "--migrate")
-            opt.sweep.migrateEveryRounds = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.sweep.migrateEveryRounds =
+                static_cast<unsigned>(count(UINT_MAX));
         else if (arg == "--pinned")
-            opt.sweep.pinnedRegisters = static_cast<int>(
-                std::strtol(value().c_str(), nullptr, 10));
-        else if (arg == "--scale")
-            opt.sweep.scale =
-                1.0 / std::strtod(value().c_str(), nullptr);
+            opt.sweep.pinnedRegisters = static_cast<int>(count(INT_MAX));
+        else if (arg == "--scale") {
+            const auto scale = driver::parseScale(value());
+            if (!scale)
+                usage(argv[0]);
+            opt.sweep.scale = *scale;
+        }
         else if (arg == "--accesses")
-            opt.sweep.sim.measureAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sim.measureAccesses = count();
         else if (arg == "--warmup")
-            opt.sweep.sim.warmupAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sim.warmupAccesses = count();
         else if (arg == "--seed")
-            opt.sweep.baseSeed =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.baseSeed = count();
         else if (arg == "--batch") {
             // Result-invariant (the batch-partition contract); kept
             // out of the emitted config block like dmt-campaign.
-            opt.sweep.sim.batchSize =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sim.batchSize = count();
             if (opt.sweep.sim.batchSize == 0)
                 usage(argv[0]);
         }

@@ -19,9 +19,6 @@
  *   dmtsim --trace btree.trc --design dmt
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +26,7 @@
 #include <string>
 
 #include "driver/campaign.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 
 #include "check/invariant_auditor.hh"
@@ -82,21 +80,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Parse a whole unsigned decimal number, or exit through usage(). */
-std::uint64_t
-parseCount(const char *argv0, const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    // strtoull alone would also take leading blanks and a sign.
-    const bool digitFirst =
-        !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
-    if (!digitFirst || *end || errno == ERANGE)
-        usage(argv0);
-    return v;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -108,28 +91,27 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto count = [&](const std::string &text) {
+            const auto v = driver::parseCount(text);
+            if (!v)
+                usage(argv[0]);
+            return *v;
+        };
         if (arg == "--workload") opt.workload = value();
         else if (arg == "--design") opt.design = value();
         else if (arg == "--env") opt.env = value();
         else if (arg == "--thp") opt.thp = true;
         else if (arg == "--scale") {
-            const std::string text = value();
-            char *end = nullptr;
-            const double denom = std::strtod(text.c_str(), &end);
-            if (text.empty() || *end || !std::isfinite(denom) ||
-                !(denom > 0.0)) {
+            const auto scale = driver::parseScale(value());
+            if (!scale)
                 usage(argv[0]);
-            }
-            opt.scale = 1.0 / denom;
+            opt.scale = *scale;
         }
-        else if (arg == "--accesses")
-            opt.accesses = parseCount(argv[0], value());
-        else if (arg == "--warmup")
-            opt.warmup = parseCount(argv[0], value());
-        else if (arg == "--seed")
-            opt.seed = parseCount(argv[0], value());
+        else if (arg == "--accesses") opt.accesses = count(value());
+        else if (arg == "--warmup") opt.warmup = count(value());
+        else if (arg == "--seed") opt.seed = count(value());
         else if (arg == "--batch") {
-            opt.batch = parseCount(argv[0], value());
+            opt.batch = count(value());
             if (opt.batch == 0)
                 usage(argv[0]);
         }
@@ -142,8 +124,8 @@ parse(int argc, char **argv)
         else if (arg == "--audit") opt.audit = true;
         else if (arg.rfind("--audit=", 0) == 0) {
             opt.audit = true;
-            opt.auditInterval = parseCount(
-                argv[0], arg.substr(std::strlen("--audit=")));
+            opt.auditInterval =
+                count(arg.substr(std::strlen("--audit=")));
         }
         else usage(argv[0]);
     }

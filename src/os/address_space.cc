@@ -1,5 +1,7 @@
 #include "os/address_space.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace dmt
@@ -76,31 +78,34 @@ AddressSpace::growVma(Addr base, Addr new_size, bool populate)
     }
 }
 
-void
-AddressSpace::mapPage(Addr va, const Vma &vma)
+Pfn
+AddressSpace::allocDataFrame()
 {
-    if (config_.thp == ThpMode::Always) {
-        const Addr hugeBase = pageAlignDown(va, PageSize::Size2M);
-        if (hugeBase >= vma.base &&
-            hugeBase + hugePageSize <= vma.end()) {
-            // The whole 2 MB region lies inside the VMA: try a huge
-            // frame; fall through to 4 KB on contiguity failure.
-            const auto frame =
-                allocator_.allocPages(9, FrameKind::Movable);
-            if (frame) {
-                pt_.map(hugeBase, *frame, PageSize::Size2M);
-                dataFrames_ += 512;
-                ++hugeMappings_;
-                return;
-            }
-        }
-    }
-    const Addr pageBase = pageAlignDown(va);
     const auto frame = allocator_.allocPages(0, FrameKind::Movable);
     if (!frame)
         fatal("out of physical memory for data pages");
-    pt_.map(pageBase, *frame, PageSize::Size4K);
-    ++dataFrames_;
+    return *frame;
+}
+
+bool
+AddressSpace::mapHuge(Addr huge_base, const Vma &vma)
+{
+    // Like a Linux THP fault: only a 2 MB region that lies wholly
+    // inside the VMA and has nothing mapped in it yet gets a huge
+    // frame. A region already holding 4 KB leaves stays 4 KB (until
+    // a collapse), and contiguity failure falls back to 4 KB too.
+    if (config_.thp != ThpMode::Always || huge_base < vma.base ||
+        huge_base + hugePageSize > vma.end() ||
+        !pt_.spanEmpty(huge_base)) {
+        return false;
+    }
+    const auto frame = allocator_.allocPages(9, FrameKind::Movable);
+    if (!frame)
+        return false;
+    pt_.map(huge_base, *frame, PageSize::Size2M);
+    dataFrames_ += 512;
+    ++hugeMappings_;
+    return true;
 }
 
 bool
@@ -112,15 +117,28 @@ AddressSpace::touch(Addr va)
     if (!vma)
         panic("touch: segfault at 0x%llx (no VMA)",
               static_cast<unsigned long long>(va));
-    mapPage(va, *vma);
+    if (!mapHuge(pageAlignDown(va, PageSize::Size2M), *vma)) {
+        pt_.map(pageAlignDown(va), allocDataFrame(), PageSize::Size4K);
+        ++dataFrames_;
+    }
     return true;
 }
 
 void
 AddressSpace::populate(const Vma &vma)
 {
-    for (Addr va = vma.base; va < vma.end(); va += pageSize)
-        touch(va);
+    // One step per 2 MB leaf-table span — a huge page or a run of
+    // 4 KB slots — leaf for leaf what touch() on every page in
+    // ascending order maps, in the same allocation order.
+    for (Addr va = vma.base; va < vma.end();) {
+        const Addr span = pageAlignDown(va, PageSize::Size2M);
+        const Addr end = std::min(vma.end(), span + hugePageSize);
+        if (!mapHuge(span, vma)) {
+            dataFrames_ += pt_.mapSpan4K(
+                va, end, [this] { return allocDataFrame(); });
+        }
+        va = end;
+    }
 }
 
 void

@@ -85,7 +85,11 @@ class AddressSpace
      */
     bool touch(Addr va);
 
-    /** Fault in every page of the given VMA. */
+    /**
+     * Fault in every page of the given VMA: exactly the mappings and
+     * allocation order of touch() on each page in ascending order,
+     * at the cost of one page-table walk per 2 MB span.
+     */
     void populate(const Vma &vma);
 
     /**
@@ -113,8 +117,16 @@ class AddressSpace
     std::uint64_t hugeMappings() const { return hugeMappings_; }
 
   private:
-    /** Map one page at va; picks 2 MB vs 4 KB per THP policy. */
-    void mapPage(Addr va, const Vma &vma);
+    /** Allocate one movable 4 KB data frame; fatal when out. */
+    Pfn allocDataFrame();
+
+    /**
+     * Map the 2 MB region at huge_base with one huge frame if the
+     * THP policy, the VMA bounds, an empty region and the allocator
+     * all allow it.
+     * @return true if the huge page was mapped.
+     */
+    bool mapHuge(Addr huge_base, const Vma &vma);
 
     /** Unmap + free frames for every mapped page of a range. */
     void releaseRange(Addr base, Addr size);

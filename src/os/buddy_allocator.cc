@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "check/audit.hh"
 #include "common/log.hh"
@@ -80,8 +81,45 @@ void
 BuddyAllocator::setKind(Pfn base, std::uint64_t n, FrameKind kind)
 {
     DMT_ASSERT(base + n <= numFrames_, "range out of bounds");
-    for (std::uint64_t i = 0; i < n; ++i)
-        kinds_[base + i] = kind;
+    std::memset(kinds_.data() + base, static_cast<int>(kind), n);
+}
+
+Pfn
+BuddyAllocator::firstFree(Pfn from, Pfn to) const
+{
+    if (from >= to)
+        return to;
+    const void *hit = std::memchr(kinds_.data() + from,
+                                  static_cast<int>(FrameKind::Free),
+                                  to - from);
+    return hit ? static_cast<Pfn>(static_cast<const FrameKind *>(hit) -
+                                  kinds_.data())
+               : to;
+}
+
+Pfn
+BuddyAllocator::firstUsed(Pfn from, Pfn to) const
+{
+    // No libc call finds the first byte *unequal* to a value, so
+    // test eight kinds per load; Free is 0, so a used frame makes
+    // the word nonzero. The byte loops cover the unaligned edges.
+    const auto *kinds = reinterpret_cast<const unsigned char *>(
+        kinds_.data());
+    for (; from < to && (from & 7) != 0; ++from) {
+        if (kinds[from] != 0)
+            return from;
+    }
+    for (; from + 8 <= to; from += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, kinds + from, sizeof(word));
+        if (word != 0)
+            break;
+    }
+    for (; from < to; ++from) {
+        if (kinds[from] != 0)
+            return from;
+    }
+    return to;
 }
 
 void
@@ -140,11 +178,9 @@ BuddyAllocator::freePages(Pfn base, int order)
     DMT_ASSERT(order >= 0 && order <= maxOrder_, "order out of range");
     const std::uint64_t n = std::uint64_t{1} << order;
     DMT_ASSERT(base + n <= numFrames_, "free out of bounds");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        DMT_ASSERT(kinds_[base + i] != FrameKind::Free,
-                   "double free of frame 0x%llx",
-                   static_cast<unsigned long long>(base + i));
-    }
+    const Pfn twice = firstFree(base, base + n);
+    DMT_ASSERT(twice == base + n, "double free of frame 0x%llx",
+               static_cast<unsigned long long>(twice));
     setKind(base, n, FrameKind::Free);
     freeFrames_ += n;
     insertFreeBlock(base, order);
@@ -211,25 +247,17 @@ BuddyAllocator::allocContig(std::uint64_t n_pages, FrameKind kind)
     DMT_ASSERT(kind != FrameKind::Free, "cannot allocate as Free");
     if (n_pages > freeFrames_)
         return std::nullopt;
-    // First-fit scan over the frame kinds; runs of free frames are
-    // found by linear scan (contiguous allocations are infrequent).
-    Pfn i = 0;
-    while (i < numFrames_) {
-        if (kinds_[i] != FrameKind::Free) {
-            ++i;
-            continue;
-        }
-        Pfn runEnd = i;
-        while (runEnd < numFrames_ && runEnd - i < n_pages &&
-               kinds_[runEnd] == FrameKind::Free) {
-            ++runEnd;
-        }
-        if (runEnd - i >= n_pages) {
+    // First fit over the frame kinds: jump to the next free frame,
+    // then to the first used frame that cuts its run short.
+    Pfn i = firstFree(0, numFrames_);
+    while (numFrames_ - i >= n_pages) {
+        const Pfn runEnd = firstUsed(i, i + n_pages);
+        if (runEnd == i + n_pages) {
             claimRange(i, i + n_pages, kind);
             DMT_AUDIT_EVENT(auditor_);
             return i;
         }
-        i = runEnd + 1;
+        i = firstFree(runEnd + 1, numFrames_);
     }
     return std::nullopt;
 }
@@ -255,10 +283,8 @@ void
 BuddyAllocator::freeContig(Pfn base, std::uint64_t n_pages)
 {
     DMT_ASSERT(base + n_pages <= numFrames_, "free out of bounds");
-    for (std::uint64_t i = 0; i < n_pages; ++i) {
-        DMT_ASSERT(kinds_[base + i] != FrameKind::Free,
-                   "double free in contiguous range");
-    }
+    DMT_ASSERT(firstFree(base, base + n_pages) == base + n_pages,
+               "double free in contiguous range");
     freeFrameRange(base, n_pages);
     DMT_AUDIT_EVENT(auditor_);
 }
@@ -269,12 +295,8 @@ BuddyAllocator::expandInPlace(Pfn base, std::uint64_t cur_pages,
 {
     const Pfn start = base + cur_pages;
     const Pfn end = start + extra_pages;
-    if (end > numFrames_)
+    if (end > numFrames_ || firstUsed(start, end) != end)
         return false;
-    for (Pfn i = start; i < end; ++i) {
-        if (kinds_[i] != FrameKind::Free)
-            return false;
-    }
     claimRange(start, end, kind);
     DMT_AUDIT_EVENT(auditor_);
     return true;
@@ -300,10 +322,7 @@ BuddyAllocator::compact(std::uint64_t max_moves)
     while (true) {
         if (max_moves && moves >= max_moves)
             break;
-        while (freeFinger < numFrames_ &&
-               kinds_[freeFinger] != FrameKind::Free) {
-            ++freeFinger;
-        }
+        freeFinger = firstFree(freeFinger, numFrames_);
         while (moveFinger > 0 &&
                kinds_[moveFinger - 1] != FrameKind::Movable) {
             --moveFinger;

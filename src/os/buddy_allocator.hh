@@ -175,6 +175,12 @@ class BuddyAllocator
     /** Mark the frames of a claimed/owned range. */
     void setKind(Pfn base, std::uint64_t n, FrameKind kind);
 
+    /** @return the first free frame in [from, to), or `to`. */
+    Pfn firstFree(Pfn from, Pfn to) const;
+
+    /** @return the first allocated frame in [from, to), or `to`. */
+    Pfn firstUsed(Pfn from, Pfn to) const;
+
     Pfn numFrames_;
     int maxOrder_;
     std::uint64_t freeFrames_ = 0;

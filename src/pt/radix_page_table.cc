@@ -199,19 +199,40 @@ RadixPageTable::map(Addr va, Pfn pfn, PageSize size)
     const int ll = leafLevel(size);
     const auto table = tableFor(va, ll, true);
     DMT_ASSERT(table.has_value(), "tableFor(create) cannot fail");
-    const Addr slot = entrySlot(*table, va, ll);
+    setLeaf(entrySlot(*table, va, ll), va, pfn, ll);
+}
+
+void
+RadixPageTable::setLeaf(Addr slot, Addr va, Pfn pfn, int level)
+{
     const std::uint64_t old = mem_.read64(slot);
     if (pteIsPresent(old)) {
         panic("map: va 0x%llx already mapped",
               static_cast<unsigned long long>(va));
     }
     std::uint64_t flags = leafFlags;
-    if (ll > 1)
+    if (level > 1)
         flags |= pte_flags::pageSize;
     mem_.write64(slot, makePte(pfn, flags));
     ++mappedLeaves_;
     ++leafEpoch_;
     DMT_AUDIT_EVENT(auditor_);
+}
+
+Pfn
+RadixPageTable::leafTableOf(Addr va) const
+{
+    Pfn cur = rootPfn_;
+    for (int level = levels_; level > 1; --level) {
+        const std::uint64_t pte =
+            win_.read(mem_, entrySlot(cur, va, level));
+        if (!pteIsPresent(pte))
+            return noTable;
+        if (pteIsHuge(pte))
+            return hugeLeaf;
+        cur = ptePfn(pte);
+    }
+    return cur;
 }
 
 void

@@ -142,6 +142,54 @@ class RadixPageTable
      */
     void map(Addr va, Pfn pfn, PageSize size = PageSize::Size4K);
 
+    /**
+     * Map every unmapped 4 KB page of [va, end) to a frame from
+     * next_frame(), in ascending VA order. The range must be page
+     * aligned and lie inside one leaf-table span (2 MB).
+     *
+     * Leaf for leaf this is `if (!translate(p)) map(p, next_frame())`
+     * for every page p: the same checks, one leafEpoch() bump and
+     * audit event per new leaf, and the same allocation order (the
+     * first data frame before any table page the span still lacks).
+     * It walks root to leaf once per span instead of twice per page.
+     * A huge leaf covering the span already maps all of it.
+     *
+     * @return the number of leaves mapped
+     */
+    template <typename NextFrame>
+    std::uint64_t
+    mapSpan4K(Addr va, Addr end, NextFrame &&next_frame)
+    {
+        DMT_ASSERT(va < end && ((va | end) & pageMask) == 0 &&
+                       spanBase(va, 1) == spanBase(end - 1, 1),
+                   "mapSpan4K: [0x%llx, 0x%llx) is not a page range "
+                   "of one leaf table",
+                   static_cast<unsigned long long>(va),
+                   static_cast<unsigned long long>(end));
+        Pfn table = leafTableOf(va);
+        if (table == hugeLeaf)
+            return 0;
+        std::uint64_t mapped = 0;
+        for (Addr p = va; p < end; p += pageSize) {
+            if (table != noTable &&
+                pteIsPresent(win_.read(mem_, entrySlot(table, p, 1))))
+                continue;
+            const Pfn pfn = next_frame();
+            if (table == noTable)
+                table = *tableFor(p, 1, true);
+            setLeaf(entrySlot(table, p, 1), p, pfn, 1);
+            ++mapped;
+        }
+        return mapped;
+    }
+
+    /**
+     * @return true if no leaf maps any byte of va's 2 MB span: the
+     *         pmd_none() test a huge-page fault makes before mapping
+     *         a huge page there.
+     */
+    bool spanEmpty(Addr va) const { return leafTableOf(va) == noTable; }
+
     /** Unmap the page containing va; no-op if not mapped. */
     void unmap(Addr va);
 
@@ -315,6 +363,24 @@ class RadixPageTable
      *         leaf terminates the path early.
      */
     std::optional<Pfn> findTable(Addr va, int target_level) const;
+
+    /** leafTableOf() replies that are never frame numbers. */
+    static constexpr Pfn noTable = ~Pfn{0};
+    static constexpr Pfn hugeLeaf = ~Pfn{0} - 1;
+
+    /**
+     * Read-only walk to the 4 KB-leaf table covering va.
+     * @return its frame; noTable if it does not exist yet; hugeLeaf
+     *         if a huge leaf maps va's whole span instead.
+     */
+    Pfn leafTableOf(Addr va) const;
+
+    /**
+     * Write a new leaf PTE into an empty slot and account for it:
+     * panics if the slot is taken, then bumps mappedLeaves(), the
+     * leaf epoch and the audit event counter.
+     */
+    void setLeaf(Addr slot, Addr va, Pfn pfn, int level);
 
     /** @return true if a table page holds no present entries. */
     bool tableEmpty(Pfn table_pfn) const;

@@ -334,8 +334,7 @@ VirtTestbed::build(Design design)
         return *nested_;
       case Design::Shadow:
         shadow_ = std::make_unique<ShadowPager>(
-            hostMem_, hostAlloc_, vm_->guestSpace(),
-            [this](Addr gpa) { return vm_->gpaToHostPa(gpa); });
+            hostMem_, hostAlloc_, vm_->guestSpace(), vm_->guestMem());
         shadow_->syncAll();
         shadowWalker_ = std::make_unique<RadixWalker>(
             shadow_->table(), caches_, config_.pwc,
@@ -365,8 +364,7 @@ VirtTestbed::build(Design design)
         return *ecptWalker_;
       case Design::Agile:
         agileShadow_ = std::make_unique<ShadowPager>(
-            hostMem_, hostAlloc_, vm_->guestSpace(),
-            [this](Addr gpa) { return vm_->gpaToHostPa(gpa); });
+            hostMem_, hostAlloc_, vm_->guestSpace(), vm_->guestMem());
         agileShadow_->syncAll();
         agile_ = std::make_unique<AgileWalker>(
             agileShadow_->table(), vm_->guestSpace().pageTable(),

@@ -69,6 +69,25 @@ class GuestMemoryView : public Memory
         return resolveMiss(gpa);
     }
 
+    /**
+     * The container leaf backing gpa, uncached: its frame and size,
+     * and in `pa` the backing address of gpa itself. Panics like
+     * resolve(). Every page of one leaf is backed linearly, so one
+     * call answers for the whole leaf.
+     */
+    Translation
+    backingLeaf(Addr gpa) const
+    {
+        DMT_ASSERT(gpa < bytes_,
+                   "guest physical address 0x%llx beyond VM memory",
+                   static_cast<unsigned long long>(gpa));
+        const auto tr = table_.translate(baseVa_ + gpa);
+        DMT_ASSERT(tr.has_value(),
+                   "guest physical memory not backed at gpa 0x%llx",
+                   static_cast<unsigned long long>(gpa));
+        return *tr;
+    }
+
     std::uint64_t
     read64(Addr pa) const override
     {
@@ -99,17 +118,11 @@ class GuestMemoryView : public Memory
     Addr
     resolveMiss(Addr gpa) const
     {
-        DMT_ASSERT(gpa < bytes_,
-                   "guest physical address 0x%llx beyond VM memory",
-                   static_cast<unsigned long long>(gpa));
-        const auto tr = table_.translate(baseVa_ + gpa);
-        DMT_ASSERT(tr.has_value(),
-                   "guest physical memory not backed at gpa 0x%llx",
-                   static_cast<unsigned long long>(gpa));
+        const Addr pa = backingLeaf(gpa).pa;
         const Addr page = gpa >> pageShift;
         memo_[page & (memo_.size() - 1)] = {page, table_.leafEpoch(),
-                                            tr->pa & ~pageMask};
-        return tr->pa;
+                                            pa & ~pageMask};
+        return pa;
     }
 
     Memory &backing_;

@@ -115,8 +115,7 @@ NestedStack::makeL2ShadowPager(Memory &l0_mem,
                                BuddyAllocator &l0_alloc)
 {
     auto pager = std::make_unique<ShadowPager>(
-        l0_mem, l0_alloc, *l1Container_,
-        [this](Addr l1pa) { return l1paToL0pa(l1pa); });
+        l0_mem, l0_alloc, *l1Container_, vm1_->guestMem());
     pager->syncAll();
     return pager;
 }

@@ -7,40 +7,52 @@ namespace dmt
 
 ShadowPager::ShadowPager(Memory &host_mem, BuddyAllocator &host_alloc,
                          const AddressSpace &guest_space,
-                         GpaToHpa gpa_to_hpa)
-    : guest_(guest_space), gpaToHpa_(std::move(gpa_to_hpa)),
+                         const GuestMemoryView &guest_mem)
+    : guest_(guest_space), guestMem_(guest_mem),
       spt_(std::make_unique<RadixPageTable>(
           host_mem, host_alloc,
           guest_space.pageTable().levels()))
 {
 }
 
+namespace
+{
+
+/** Bytes from tr.pa to the end of the leaf that maps it. */
+Addr
+leafBytesFrom(const Translation &tr)
+{
+    return pageBytesOf(tr.size) - (tr.pa - (tr.pfn << pageShift));
+}
+
+} // namespace
+
 void
 ShadowPager::shadowOne(Addr gva, const Translation &gtr)
 {
     if (gtr.size == PageSize::Size4K) {
-        spt_->map(gva, gpaToHpa_(gtr.pa) >> pageShift,
+        spt_->map(gva, guestMem_.resolve(gtr.pa) >> pageShift,
                   PageSize::Size4K);
         return;
     }
     // A guest huge page can only stay huge in the sPT if its backing
-    // is host-contiguous and aligned; otherwise it shatters.
+    // is host-contiguous and aligned; otherwise it shatters. A
+    // container leaf backs its pages linearly, so checking the first
+    // page of each one decides it: one translation for a 2 MB leaf.
     const Addr bytes = pageBytesOf(gtr.size);
-    const Addr firstHpa = gpaToHpa_(gtr.pa);
-    bool contiguous = (firstHpa & (bytes - 1)) == 0;
-    if (contiguous) {
-        for (Addr off = pageSize; off < bytes && contiguous;
-             off += pageSize) {
-            if (gpaToHpa_(gtr.pa + off) != firstHpa + off)
-                contiguous = false;
-        }
+    const Translation first = guestMem_.backingLeaf(gtr.pa);
+    bool contiguous = (first.pa & (bytes - 1)) == 0;
+    for (Addr off = leafBytesFrom(first); contiguous && off < bytes;) {
+        const Translation leaf = guestMem_.backingLeaf(gtr.pa + off);
+        contiguous = leaf.pa == first.pa + off;
+        off += leafBytesFrom(leaf);
     }
     if (contiguous) {
-        spt_->map(gva, firstHpa >> pageShift, gtr.size);
+        spt_->map(gva, first.pa >> pageShift, gtr.size);
     } else {
         for (Addr off = 0; off < bytes; off += pageSize) {
             spt_->map(gva + off,
-                      gpaToHpa_(gtr.pa + off) >> pageShift,
+                      guestMem_.resolve(gtr.pa + off) >> pageShift,
                       PageSize::Size4K);
         }
     }

@@ -17,12 +17,12 @@
 #ifndef DMT_VIRT_SHADOW_PAGER_HH
 #define DMT_VIRT_SHADOW_PAGER_HH
 
-#include <functional>
 #include <memory>
 
 #include "common/types.hh"
 #include "os/address_space.hh"
 #include "pt/radix_page_table.hh"
+#include "virt/guest_memory_view.hh"
 
 namespace dmt
 {
@@ -31,17 +31,16 @@ namespace dmt
 class ShadowPager
 {
   public:
-    /** Resolves a guest-physical address to a host-physical one. */
-    using GpaToHpa = std::function<Addr(Addr)>;
-
     /**
      * @param host_mem host physical memory (the sPT lives here)
      * @param host_alloc host frame allocator
      * @param guest_space the guest process being shadowed
-     * @param gpa_to_hpa gPA resolution through the container table
+     * @param guest_mem the guest's physical memory, resolving gPAs
+     *        to host PAs through the container table
      */
     ShadowPager(Memory &host_mem, BuddyAllocator &host_alloc,
-                const AddressSpace &guest_space, GpaToHpa gpa_to_hpa);
+                const AddressSpace &guest_space,
+                const GuestMemoryView &guest_mem);
 
     /**
      * Full synchronisation: rebuild the sPT from the guest table.
@@ -69,7 +68,7 @@ class ShadowPager
     void shadowOne(Addr gva, const Translation &gtr);
 
     const AddressSpace &guest_;
-    GpaToHpa gpaToHpa_;
+    const GuestMemoryView &guestMem_;
     std::unique_ptr<RadixPageTable> spt_;
     Counter exits_ = 0;
 };

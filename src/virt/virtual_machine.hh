@@ -67,8 +67,8 @@ class VirtualMachine
     /** The guest-physical frame allocator. */
     BuddyAllocator &guestAllocator() { return *guestAlloc_; }
 
-    /** Guest-physical memory as a Memory object. */
-    Memory &guestMem() { return *guestView_; }
+    /** Guest-physical memory, resolved through the container. */
+    GuestMemoryView &guestMem() { return *guestView_; }
 
     /** Host VA backing a guest-physical address. */
     Addr gpaToHva(Addr gpa) const { return config_.gpaBaseHva + gpa; }

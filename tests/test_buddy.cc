@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit and property tests for the buddy allocator: alloc/free
- * round-trips, coalescing, contiguous runs, in-place expansion,
- * fragmentation index, and compaction.
+ * round-trips, coalescing, contiguous runs (against a reference first
+ * fit), double-free panics, in-place expansion, fragmentation index,
+ * and compaction.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
@@ -192,6 +196,100 @@ TEST(Buddy, RandomizedStressKeepsInvariants)
         alloc.freePages(pfn, order);
     EXPECT_EQ(alloc.freeFrames(), Pfn{1} << 13);
     alloc.checkConsistency();
+}
+
+/** Byte-at-a-time first fit over isFree(): the allocContig() oracle. */
+std::optional<Pfn>
+referenceFirstFit(const BuddyAllocator &alloc, std::uint64_t n)
+{
+    std::uint64_t run = 0;
+    for (Pfn pfn = 0; pfn < alloc.numFrames(); ++pfn) {
+        run = alloc.isFree(pfn) ? run + 1 : 0;
+        if (run == n)
+            return pfn + 1 - n;
+    }
+    return std::nullopt;
+}
+
+TEST(Buddy, AllocContigMatchesReferenceFirstFit)
+{
+    struct Held
+    {
+        Pfn base;
+        std::uint64_t pages;
+        int order;  //!< buddy order, or -1 for a contiguous run
+    };
+    for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+        Rng rng(seed);
+        // An odd frame count leaves the word-wise scans a ragged tail.
+        BuddyAllocator alloc((Pfn{1} << 13) + 13);
+        std::vector<Held> held;
+        for (int step = 0; step < 3000; ++step) {
+            const auto roll = rng.below(100);
+            if (roll < 35) {
+                const int order = static_cast<int>(rng.below(5));
+                const auto pfn =
+                    alloc.allocPages(order, FrameKind::Movable);
+                if (pfn)
+                    held.push_back({*pfn, std::uint64_t{1} << order,
+                                    order});
+            } else if (roll < 65) {
+                const std::uint64_t n =
+                    1 + rng.below(rng.below(4) == 0 ? 700 : 40);
+                const auto want = referenceFirstFit(alloc, n);
+                const auto got =
+                    alloc.allocContig(n, FrameKind::PageTable);
+                ASSERT_EQ(got, want) << "seed " << seed << " step "
+                                     << step << " pages " << n;
+                if (got)
+                    held.push_back({*got, n, -1});
+            } else if (!held.empty()) {
+                const auto idx = rng.below(held.size());
+                const Held h = held[idx];
+                if (h.order >= 0)
+                    alloc.freePages(h.base, h.order);
+                else
+                    alloc.freeContig(h.base, h.pages);
+                held[idx] = held.back();
+                held.pop_back();
+            }
+            if (step % 500 == 0)
+                alloc.checkConsistency();
+        }
+        alloc.checkConsistency();
+    }
+}
+
+TEST(BuddyDeathTest, FreePagesPanicsOnDoubleFree)
+{
+    BuddyAllocator alloc(1 << 10);
+    const auto block = alloc.allocPages(3, FrameKind::Movable);
+    ASSERT_TRUE(block.has_value());
+    // Frame 5 of the block goes back early; freeing the block again
+    // must name it.
+    alloc.freeContig(*block + 5, 1);
+    char want[64];
+    std::snprintf(want, sizeof(want), "double free of frame 0x%llx",
+                  static_cast<unsigned long long>(*block + 5));
+    EXPECT_DEATH(alloc.freePages(*block, 3), want);
+
+    const auto single = alloc.allocPages(0, FrameKind::Movable);
+    ASSERT_TRUE(single.has_value());
+    alloc.freePages(*single, 0);
+    EXPECT_DEATH(alloc.freePages(*single, 0), "double free of frame");
+}
+
+TEST(BuddyDeathTest, FreeContigPanicsOnDoubleFree)
+{
+    BuddyAllocator alloc(1 << 10);
+    const auto run = alloc.allocContig(37, FrameKind::PageTable);
+    ASSERT_TRUE(run.has_value());
+    alloc.freeContig(*run + 36, 1);
+    EXPECT_DEATH(alloc.freeContig(*run, 37),
+                 "double free in contiguous range");
+    alloc.freeContig(*run, 36);
+    EXPECT_DEATH(alloc.freeContig(*run, 36),
+                 "double free in contiguous range");
 }
 
 } // namespace

@@ -129,6 +129,40 @@ TEST_F(SpaceFixture, ThpUsesHugePagesWhereAligned)
     EXPECT_EQ(edge->size, PageSize::Size4K);
 }
 
+TEST_F(SpaceFixture, ThpRegionHoldingSmallPagesStaysSmall)
+{
+    AddressSpaceConfig cfg;
+    cfg.thp = ThpMode::Always;
+    const Addr base = 0x40000000;
+    // 3 MB: one huge page, then 1 MB of 4 KB pages in a region the
+    // VMA does not cover whole. Growing to 4 MB makes that region
+    // fit, but it already holds 4 KB leaves: like Linux before a
+    // khugepaged collapse, the rest of it is mapped at 4 KB too.
+    AddressSpace populated(mem, alloc, cfg);
+    populated.mmapAt(base, 3 * hugePageSize / 2, VmaKind::Heap);
+    EXPECT_EQ(populated.hugeMappings(), 1u);
+    populated.growVma(base, 2 * hugePageSize);
+    EXPECT_EQ(populated.hugeMappings(), 1u);
+    EXPECT_EQ(populated.dataFrames(), 1024u);
+    for (Addr va = base + hugePageSize; va < base + 2 * hugePageSize;
+         va += pageSize) {
+        const auto tr = populated.pageTable().translate(va);
+        ASSERT_TRUE(tr.has_value());
+        EXPECT_EQ(tr->size, PageSize::Size4K);
+    }
+
+    // A demand fault into the grown region takes the same path.
+    AddressSpace faulted(mem, alloc, cfg);
+    faulted.mmapAt(base, 3 * hugePageSize / 2, VmaKind::Heap);
+    faulted.growVma(base, 2 * hugePageSize, /*populate=*/false);
+    EXPECT_TRUE(faulted.touch(base + 7 * hugePageSize / 4));
+    EXPECT_EQ(faulted.hugeMappings(), 1u);
+    EXPECT_EQ(faulted.pageTable().translate(base + 7 * hugePageSize / 4)
+                  ->size,
+              PageSize::Size4K);
+    alloc.checkConsistency();
+}
+
 TEST_F(SpaceFixture, GrowPopulatesExtension)
 {
     AddressSpace proc(mem, alloc, {});

@@ -1,7 +1,8 @@
 /**
  * @file
  * Additional property suites: VMA-change accommodation (§4.2.3),
- * directProbe micro-behaviour, buddy order sweeps, TLB/cache
+ * span populate against per-page touch(), directProbe
+ * micro-behaviour, buddy order sweeps, TLB/cache
  * geometry sweeps, EPT huge pages in the nested walker, and
  * calibration sanity against the paper's reported averages.
  */
@@ -9,6 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/invariant_auditor.hh"
@@ -18,8 +24,10 @@
 #include "core/mapping_manager.hh"
 #include "host/register_file.hh"
 #include "mem/physical_memory.hh"
+#include "os/fragmenter.hh"
 #include "sim/testbed.hh"
 #include "virt/nested_walker.hh"
+#include "virt/virtual_machine.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -91,6 +99,236 @@ TEST_F(GrowFixture, SplitVmaKeepsOneCluster)
     EXPECT_EQ(manager.clusters().size(), 1u);
     EXPECT_EQ(teas.all().size(), 1u);
 }
+
+// ------------------------------------ populate() = per-page touch()
+
+/** One populate scenario, built twice: once per page, once per span. */
+struct PopulateCase
+{
+    const char *name;
+    ThpMode thp;
+    bool guest;     //!< a guest space over a GuestMemoryView
+    bool teas;      //!< a TeaManager frame provider attached
+    bool fragment;  //!< only four 2 MB blocks survive fragmentation
+    Addr growTo;    //!< grow the first VMA to this size; 0 = no growth
+};
+
+/** Print a case by name: the test IDs must not carry pointer bytes. */
+void
+PrintTo(const PopulateCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** VMAs with aligned, unaligned and span-straddling heads and tails. */
+const std::vector<std::pair<Addr, Addr>> populateVmas = {
+    {0x40000000, 16 * hugePageSize},
+    {0x50003000, 5 * hugePageSize / 2 + 5 * pageSize},
+    {0x601ff000, 3 * pageSize},
+    {0x70000000, hugePageSize},
+};
+
+/** Memory, allocator, optional VM and TEAs, and one audited space. */
+class PopulateMachine
+{
+  public:
+    explicit PopulateMachine(const PopulateCase &c)
+        : mem_(Addr{1} << 30), hostAlloc_(mem_.size() >> pageShift)
+    {
+        if (c.guest) {
+            VmConfig vc;
+            vc.vmBytes = Addr{256} << 20;
+            vc.hostThp = c.thp;
+            vc.guestThp = c.thp;
+            vm_ = std::make_unique<VirtualMachine>(mem_, hostAlloc_, vc);
+        } else {
+            AddressSpaceConfig cfg;
+            cfg.thp = c.thp;
+            native_ =
+                std::make_unique<AddressSpace>(mem_, hostAlloc_, cfg);
+        }
+        if (c.fragment) {
+            // Set four 2 MB blocks aside, leave every other remaining
+            // frame free, then give the blocks back: the first four
+            // THP regions get huge frames and later ones fall back.
+            std::vector<Pfn> huge;
+            for (int i = 0; i < 4; ++i)
+                huge.push_back(*alloc().allocPages(9, FrameKind::Movable));
+            frag_ = std::make_unique<Fragmenter>(alloc());
+            frag_->fragment(0.5);
+            for (const Pfn pfn : huge)
+                alloc().freePages(pfn, 9);
+        }
+        if (c.teas) {
+            MappingConfig mc;
+            mc.tea2m = c.thp == ThpMode::Always;
+            source_ = std::make_unique<LocalTeaSource>(alloc());
+            teas_ = std::make_unique<TeaManager>(space().pageTable(),
+                                                 *source_);
+            mapping_ = std::make_unique<MappingManager>(space(), *teas_,
+                                                        regs_, mc);
+            teas_->attachAuditor(auditor_, "tea");
+            mapping_->attachAuditor(auditor_, "mapping");
+        }
+        alloc().attachAuditor(auditor_, "buddy");
+        space().pageTable().attachAuditor(auditor_, "pt");
+        if (vm_) {
+            hostAlloc_.attachAuditor(auditor_, "host-buddy");
+            vm_->containerSpace().pageTable().attachAuditor(auditor_,
+                                                            "host-pt");
+        }
+        auditor_.setInterval(211);  // sweep in the middle of spans too
+    }
+
+    // Teardown (the fragmenter's release above all) is not under test.
+    ~PopulateMachine() { auditor_.setInterval(0); }
+
+    PopulateMachine(const PopulateMachine &) = delete;
+    PopulateMachine &operator=(const PopulateMachine &) = delete;
+
+    AddressSpace &space() { return vm_ ? vm_->guestSpace() : *native_; }
+    BuddyAllocator &
+    alloc()
+    {
+        return vm_ ? vm_->guestAllocator() : hostAlloc_;
+    }
+    BuddyAllocator &hostAlloc() { return hostAlloc_; }
+    InvariantAuditor &auditor() { return auditor_; }
+
+  private:
+    InvariantAuditor auditor_;
+    PhysicalMemory mem_;
+    BuddyAllocator hostAlloc_;
+    std::unique_ptr<VirtualMachine> vm_;
+    std::unique_ptr<AddressSpace> native_;
+    std::unique_ptr<Fragmenter> frag_;
+    std::unique_ptr<LocalTeaSource> source_;
+    std::unique_ptr<TeaManager> teas_;
+    DmtRegisterFile regs_;
+    std::unique_ptr<MappingManager> mapping_;
+};
+
+/** Lay out the case's VMAs, filling each with `fill` once it exists. */
+template <typename Fill>
+void
+buildPopulateCase(PopulateMachine &m, const PopulateCase &c, Fill fill)
+{
+    for (const auto &[base, size] : populateVmas) {
+        m.space().mmapAt(base, size, VmaKind::Heap, /*populate=*/false);
+        fill(*m.space().vmas().findByBase(base));
+    }
+    if (c.growTo) {
+        const Addr base = populateVmas.front().first;
+        m.space().growVma(base, c.growTo, /*populate=*/false);
+        fill(*m.space().vmas().findByBase(base));
+    }
+}
+
+/** Every frame's kind and every order's free-block count must agree. */
+void
+expectSameAllocator(const BuddyAllocator &a, const BuddyAllocator &b)
+{
+    ASSERT_EQ(a.numFrames(), b.numFrames());
+    EXPECT_EQ(a.freeFrames(), b.freeFrames());
+    for (int order = 0; order <= a.maxOrder(); ++order) {
+        EXPECT_EQ(a.freeBlocksAt(order), b.freeBlocksAt(order))
+            << "order " << order;
+    }
+    for (Pfn pfn = 0; pfn < a.numFrames(); ++pfn) {
+        if (a.kindOf(pfn) != b.kindOf(pfn)) {
+            ADD_FAILURE() << "frame 0x" << std::hex << pfn
+                          << " differs in kind";
+            break;
+        }
+    }
+}
+
+using LeafList = std::vector<std::tuple<Addr, Pfn, PageSize>>;
+
+LeafList
+leavesOf(const RadixPageTable &pt)
+{
+    LeafList out;
+    pt.forEachLeaf([&](Addr va, Pfn pfn, PageSize size) {
+        out.emplace_back(va, pfn, size);
+    });
+    return out;
+}
+
+class PopulateEquivalence : public ::testing::TestWithParam<PopulateCase>
+{
+};
+
+TEST_P(PopulateEquivalence, SpanPopulateMatchesPerPageTouch)
+{
+    const PopulateCase &c = GetParam();
+    PopulateMachine perPage(c);
+    PopulateMachine perSpan(c);
+    buildPopulateCase(perPage, c, [&](const Vma &vma) {
+        for (Addr va = vma.base; va < vma.end(); va += pageSize)
+            perPage.space().touch(va);
+    });
+    buildPopulateCase(perSpan, c, [&](const Vma &vma) {
+        perSpan.space().populate(vma);
+    });
+
+    const LeafList want = leavesOf(perPage.space().pageTable());
+    const LeafList got = leavesOf(perSpan.space().pageTable());
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (want[i] != got[i]) {
+            ADD_FAILURE() << "leaf " << i << " at va 0x" << std::hex
+                          << std::get<0>(want[i]) << " differs";
+            break;
+        }
+    }
+    const AddressSpace &a = perPage.space();
+    const AddressSpace &b = perSpan.space();
+    EXPECT_EQ(a.pageTable().tablePages(), b.pageTable().tablePages());
+    EXPECT_EQ(a.pageTable().mappedLeaves(),
+              b.pageTable().mappedLeaves());
+    EXPECT_EQ(a.dataFrames(), b.dataFrames());
+    EXPECT_EQ(a.hugeMappings(), b.hugeMappings());
+    expectSameAllocator(perPage.alloc(), perSpan.alloc());
+    expectSameAllocator(perPage.hostAlloc(), perSpan.hostAlloc());
+    if (c.thp == ThpMode::Always) {
+        EXPECT_GT(b.hugeMappings(), 0u);
+    }
+    if (c.fragment) {
+        EXPECT_EQ(b.hugeMappings(), 4u);
+    }
+
+    for (PopulateMachine *m : {&perPage, &perSpan}) {
+        m->auditor().sweep();
+        EXPECT_TRUE(m->auditor().clean());
+        EXPECT_GT(m->auditor().stats().sweeps, 1u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PopulateEquivalence,
+    ::testing::Values(
+        PopulateCase{"native_4k", ThpMode::Never, false, false, false, 0},
+        PopulateCase{"native_thp", ThpMode::Always, false, false, false,
+                     0},
+        PopulateCase{"native_4k_grow", ThpMode::Never, false, false,
+                     false, 19 * hugePageSize + 3 * pageSize},
+        PopulateCase{"native_thp_grow", ThpMode::Always, false, false,
+                     false, 19 * hugePageSize + 3 * pageSize},
+        PopulateCase{"native_thp_fragmented", ThpMode::Always, false,
+                     false, true, 0},
+        PopulateCase{"native_4k_teas", ThpMode::Never, false, true,
+                     false, 0},
+        PopulateCase{"native_thp_teas", ThpMode::Always, false, true,
+                     false, 19 * hugePageSize},
+        PopulateCase{"guest_4k", ThpMode::Never, true, false, false, 0},
+        PopulateCase{"guest_thp", ThpMode::Always, true, false, false,
+                     19 * hugePageSize + 3 * pageSize},
+        PopulateCase{"guest_thp_teas", ThpMode::Always, true, true,
+                     false, 0}),
+    [](const ::testing::TestParamInfo<PopulateCase> &param) {
+        return std::string(param.param.name);
+    });
 
 // ---------------------------------------------- directProbe behaviour
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
@@ -181,9 +184,7 @@ TEST_F(VirtFixture, ShadowPagerMirrorsGuestMappings)
 {
     auto &guest = vm->guestSpace();
     guest.mmapAt(0x10000000, 64 * pageSize, VmaKind::Heap);
-    ShadowPager shadow(hostMem, hostAlloc, guest, [&](Addr gpa) {
-        return vm->gpaToHostPa(gpa);
-    });
+    ShadowPager shadow(hostMem, hostAlloc, guest, vm->guestMem());
     shadow.syncAll();
     EXPECT_GE(shadow.exits(), 64u);
     for (Addr va = 0x10000000; va < 0x10000000 + 64 * pageSize;
@@ -199,15 +200,142 @@ TEST_F(VirtFixture, ShadowPagerSyncsIncrementalUpdates)
 {
     auto &guest = vm->guestSpace();
     guest.mmapAt(0x10000000, 4 * pageSize, VmaKind::Heap);
-    ShadowPager shadow(hostMem, hostAlloc, guest, [&](Addr gpa) {
-        return vm->gpaToHostPa(gpa);
-    });
+    ShadowPager shadow(hostMem, hostAlloc, guest, vm->guestMem());
     shadow.syncAll();
     const auto exits = shadow.exits();
     guest.mmapAt(0x20000000, pageSize, VmaKind::Data);
     shadow.syncPage(0x20000000);
     EXPECT_EQ(shadow.exits(), exits + 1);
     EXPECT_TRUE(shadow.table().translate(0x20000000).has_value());
+}
+
+/**
+ * One guest 2 MB leaf over a chosen host backing: whether its shadow
+ * stays one 2 MB leaf must agree with a per-page contiguity check.
+ */
+struct ShadowHugeFixture : public ::testing::Test
+{
+    static constexpr Addr guestVa = 0x40000000;
+
+    ShadowHugeFixture()
+        : hostMem(Addr{1} << 30),
+          hostAlloc((Addr{1} << 30) >> pageShift)
+    {
+    }
+
+    void
+    boot(ThpMode host_thp)
+    {
+        VmConfig cfg;
+        cfg.vmBytes = Addr{64} << 20;
+        cfg.hostThp = host_thp;
+        cfg.guestThp = ThpMode::Always;
+        vm = std::make_unique<VirtualMachine>(hostMem, hostAlloc, cfg);
+        vm->guestSpace().mmapAt(guestVa, hugePageSize, VmaKind::Heap);
+        const auto gtr = vm->guestSpace().pageTable().translate(guestVa);
+        ASSERT_TRUE(gtr.has_value());
+        ASSERT_EQ(gtr->size, PageSize::Size2M);
+        gpa = gtr->pa;
+    }
+
+    /** Size of the container leaf backing gpa + off. */
+    PageSize
+    hostLeafSize(Addr off = 0) const
+    {
+        return vm->containerSpace()
+            .pageTable()
+            .translate(vm->gpaToHva(gpa + off))
+            ->size;
+    }
+
+    /** Reference: host contiguity resolved one 4 KB page at a time. */
+    bool
+    perPageContiguous() const
+    {
+        const Addr first = vm->gpaToHostPa(gpa);
+        if (first & (hugePageSize - 1))
+            return false;
+        for (Addr off = pageSize; off < hugePageSize; off += pageSize) {
+            if (vm->gpaToHostPa(gpa + off) != first + off)
+                return false;
+        }
+        return true;
+    }
+
+    /** Shadow the guest and return its leaves (va, pa, size). */
+    std::vector<std::tuple<Addr, Addr, PageSize>>
+    shadowLeaves()
+    {
+        ShadowPager shadow(hostMem, hostAlloc, vm->guestSpace(),
+                           vm->guestMem());
+        shadow.syncAll();
+        std::vector<std::tuple<Addr, Addr, PageSize>> out;
+        shadow.table().forEachLeaf([&](Addr va, Pfn pfn, PageSize size) {
+            out.emplace_back(va, pfn << pageShift, size);
+        });
+        return out;
+    }
+
+    /** Every shadow leaf must map what the per-page resolution says. */
+    void
+    expectShadowMatchesPerPage(
+        const std::vector<std::tuple<Addr, Addr, PageSize>> &leaves)
+    {
+        EXPECT_EQ(leaves.size() == 1, perPageContiguous());
+        for (const auto &[va, pa, size] : leaves) {
+            EXPECT_EQ(pa, vm->gpaToHostPa(gpa + (va - guestVa)));
+            EXPECT_EQ(size, leaves.size() == 1 ? PageSize::Size2M
+                                               : PageSize::Size4K);
+        }
+    }
+
+    PhysicalMemory hostMem;
+    BuddyAllocator hostAlloc;
+    std::unique_ptr<VirtualMachine> vm;
+    Addr gpa = 0;
+};
+
+TEST_F(ShadowHugeFixture, HostHugeLeafKeepsShadowLeafHuge)
+{
+    ASSERT_NO_FATAL_FAILURE(boot(ThpMode::Always));
+    ASSERT_EQ(hostLeafSize(), PageSize::Size2M);
+    const auto leaves = shadowLeaves();
+    ASSERT_EQ(leaves.size(), 1u);
+    expectShadowMatchesPerPage(leaves);
+}
+
+TEST_F(ShadowHugeFixture, AlignedRunOfHostSmallLeavesKeepsShadowLeafHuge)
+{
+    ASSERT_NO_FATAL_FAILURE(boot(ThpMode::Never));
+    // Re-point the 512 container leaves at one aligned 2 MB frame run,
+    // still mapped as 4 KB pages.
+    const auto run = hostAlloc.allocPages(9, FrameKind::Movable);
+    ASSERT_TRUE(run.has_value());
+    for (Addr i = 0; i < 512; ++i) {
+        vm->containerSpace().replaceBacking(
+            vm->gpaToHva(gpa + i * pageSize), *run + i);
+    }
+    ASSERT_EQ(hostLeafSize(), PageSize::Size4K);
+    ASSERT_EQ(hostLeafSize(hugePageSize - pageSize), PageSize::Size4K);
+    const auto leaves = shadowLeaves();
+    ASSERT_EQ(leaves.size(), 1u);
+    EXPECT_EQ(std::get<1>(leaves.front()), *run << pageShift);
+    expectShadowMatchesPerPage(leaves);
+}
+
+TEST_F(ShadowHugeFixture, OneSplicedHostFrameShattersShadowLeaf)
+{
+    ASSERT_NO_FATAL_FAILURE(boot(ThpMode::Always));
+    // Splicing one frame demotes the container's 2 MB leaf into 512
+    // 4 KB leaves, 511 of them still contiguous.
+    const auto frame = hostAlloc.allocPages(0, FrameKind::Movable);
+    ASSERT_TRUE(frame.has_value());
+    vm->containerSpace().replaceBacking(vm->gpaToHva(gpa + 7 * pageSize),
+                                        *frame);
+    ASSERT_EQ(hostLeafSize(), PageSize::Size4K);
+    const auto leaves = shadowLeaves();
+    ASSERT_EQ(leaves.size(), 512u);
+    expectShadowMatchesPerPage(leaves);
 }
 
 TEST(NestedStackTest, ThreeLayerTranslationComposes)
