@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 
 namespace dmt
@@ -17,13 +18,25 @@ namespace bench
 namespace
 {
 
+/**
+ * An environment count, parsed strictly: anything but digits, or a
+ * value below `min`, exits 2 naming the variable instead of running
+ * with a silently substituted number.
+ */
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envCount(const char *name, std::uint64_t fallback, std::uint64_t min = 0)
 {
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    return std::strtoull(value, nullptr, 10);
+    const auto n = driver::parseCount(value);
+    if (!n || *n < min) {
+        std::fprintf(stderr,
+                     "error: %s=\"%s\" is not a count%s\n", name, value,
+                     min > 0 ? " of at least 1" : "");
+        std::exit(2);
+    }
+    return *n;
 }
 
 } // namespace
@@ -32,8 +45,8 @@ SimConfig
 simConfigFromEnv(bool record_steps)
 {
     SimConfig cfg;
-    cfg.measureAccesses = envU64("DMT_BENCH_ACCESSES", 1'000'000);
-    cfg.warmupAccesses = envU64("DMT_BENCH_WARMUP", 200'000);
+    cfg.measureAccesses = envCount("DMT_BENCH_ACCESSES", 1'000'000);
+    cfg.warmupAccesses = envCount("DMT_BENCH_WARMUP", 200'000);
     cfg.recordSteps = record_steps;
     return cfg;
 }
@@ -41,7 +54,8 @@ simConfigFromEnv(bool record_steps)
 double
 scaleFromEnv()
 {
-    return 1.0 / static_cast<double>(envU64("DMT_BENCH_SCALE", 16));
+    return 1.0 /
+           static_cast<double>(envCount("DMT_BENCH_SCALE", 16, 1));
 }
 
 TestbedConfig

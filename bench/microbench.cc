@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/stats.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
@@ -88,6 +90,24 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/**
+ * The value of a count flag: digits only, 1 to max. Anything else
+ * names the flag and exits 2 through usage().
+ */
+std::uint64_t
+countFlag(const char *argv0, const char *flag, const std::string &text,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const auto n = driver::parseCount(text, max);
+    if (!n || *n == 0) {
+        std::fprintf(stderr, "error: %s needs a count of at least 1, "
+                             "got \"%s\"\n",
+                     flag, text.c_str());
+        usage(argv0);
+    }
+    return *n;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -102,21 +122,19 @@ parse(int argc, char **argv)
         } else if (arg == "--ops") {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opt.ops = std::strtoull(argv[++i], nullptr, 10);
+            opt.ops = countFlag(argv[0], "--ops", argv[++i]);
         } else if (arg == "--reps") {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opt.reps = std::atoi(argv[++i]);
+            opt.reps = static_cast<int>(countFlag(
+                argv[0], "--reps", argv[++i],
+                std::numeric_limits<int>::max()));
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else {
             usage(argv[0]);
         }
     }
-    if (opt.ops == 0)
-        opt.ops = 1;
-    if (opt.reps < 1)
-        opt.reps = 1;
     return opt;
 }
 

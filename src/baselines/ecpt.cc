@@ -1,6 +1,7 @@
 #include "baselines/ecpt.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hh"
 #include "pt/pte.hh"
@@ -145,14 +146,20 @@ void
 EcptTable::resize(PageSize size)
 {
     auto &ws = waysOf(size);
-    // Collect every live entry, then rebuild doubled ways.
+    // Collect every live entry, a page of slots per read, then
+    // rebuild doubled ways.
     std::vector<std::pair<Vpn, std::uint64_t>> live;
+    std::array<std::uint64_t, ptesPerPage> page{};
     for (auto &w : ws) {
-        for (std::uint64_t i = 0; i < w.slots; ++i) {
-            const Addr addr = slotAddr(w, i);
-            const std::uint64_t tag = mem_.read64(addr);
-            if (tag & 1)
-                live.emplace_back(tag >> 1, mem_.read64(addr + 8));
+        const std::uint64_t words = w.slots * (slotBytes / 8);
+        for (std::uint64_t off = 0; off < words; off += page.size()) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(page.size(), words - off));
+            mem_.readWords(slotAddr(w, 0) + off * 8, page.data(), n);
+            for (std::size_t i = 0; i < n; i += 2) {
+                if (page[i] & 1)
+                    live.emplace_back(page[i] >> 1, page[i + 1]);
+            }
         }
     }
     const std::uint64_t newSlots = ws[0].slots * 2;

@@ -13,6 +13,7 @@
 #ifndef DMT_MEM_MEMORY_HH
 #define DMT_MEM_MEMORY_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -31,11 +32,12 @@ class Memory
      * address range lives in one contiguous host array of aligned
      * words it returns {array, bytes}; otherwise {nullptr, 0} (the
      * default — e.g. translated guest views) and readers must go
-     * through read64(). Hot read loops (the walkers' PTE chases)
-     * cache the window once and turn each aligned in-range read into
-     * a single indexed load, skipping the virtual call. The window is
-     * read-only; writes always go through write64() so the backing
-     * store's accounting stays correct.
+     * through read64() or readWords(). Hot read loops (the walkers'
+     * PTE chases) cache the window once and turn each aligned
+     * in-range read into a single indexed load, skipping the virtual
+     * call. The window is read-only; writes always go through
+     * write64() or writeWords() so the backing store's accounting
+     * stays correct.
      */
     struct ReadWindow
     {
@@ -68,21 +70,25 @@ class Memory
     /** Write an aligned 64-bit word. */
     virtual void write64(Addr pa, std::uint64_t value) = 0;
 
+    /**
+     * Read n consecutive words starting at aligned pa into out:
+     * read64() of each, in one call.
+     */
+    virtual void readWords(Addr pa, std::uint64_t *out,
+                           std::size_t n) const = 0;
+
+    /**
+     * Write n consecutive words starting at aligned pa: write64() of
+     * each in ascending order, with the same accounting, in one call.
+     */
+    virtual void writeWords(Addr pa, const std::uint64_t *in,
+                            std::size_t n) = 0;
+
     /** Zero-fill an aligned byte range. */
-    virtual void
-    zeroRange(Addr pa, Addr bytes)
-    {
-        for (Addr off = 0; off < bytes; off += 8)
-            write64(pa + off, 0);
-    }
+    virtual void zeroRange(Addr pa, Addr bytes) = 0;
 
     /** Copy a non-overlapping aligned byte range. */
-    virtual void
-    copyRange(Addr dst, Addr src, Addr bytes)
-    {
-        for (Addr off = 0; off < bytes; off += 8)
-            write64(dst + off, read64(src + off));
-    }
+    virtual void copyRange(Addr dst, Addr src, Addr bytes) = 0;
 };
 
 } // namespace dmt

@@ -92,6 +92,59 @@ PhysicalMemory::write64(Addr pa, std::uint64_t value)
 }
 
 void
+PhysicalMemory::readWords(Addr pa, std::uint64_t *out,
+                          std::size_t n) const
+{
+    if (n == 0)
+        return;
+    checkAccess(pa);
+    checkRange(pa, Addr{n} * 8, "readWords");
+    std::memcpy(out, words_ + (pa >> 3), n * 8);
+}
+
+void
+PhysicalMemory::writeWords(Addr pa, const std::uint64_t *in,
+                           std::size_t n)
+{
+    if (n == 0)
+        return;
+    checkAccess(pa);
+    checkRange(pa, Addr{n} * 8, "writeWords");
+    while (n > 0) {
+        const std::size_t chunk = std::min<std::size_t>(
+            n, static_cast<std::size_t>(
+                   (frameBytes - (pa & frameMask)) >> 3));
+        const std::size_t frame =
+            static_cast<std::size_t>(pa >> frameShift);
+        bool live = frameLive_[frame] != 0;
+        if (!live) {
+            // write64() materialises a frame on its first nonzero
+            // word; zeros before it land on zeros and change nothing.
+            live = std::any_of(in, in + chunk,
+                               [](std::uint64_t v) { return v != 0; });
+            if (live) {
+                frameLive_[frame] = 1;
+                ++framesInUse_;
+            }
+        }
+        if (live) {
+            std::uint64_t *to = words_ + (pa >> 3);
+            std::size_t delta = 0;  // nonzero words, new minus old
+            for (std::size_t w = 0; w < chunk; ++w) {
+                delta += (in[w] != 0) ? 1 : 0;
+                delta -= (to[w] != 0) ? 1 : 0;
+            }
+            std::memcpy(to, in, chunk * 8);
+            frameNonzero_[frame] += static_cast<std::uint32_t>(delta);
+            nonzeroWords_ += delta;
+        }
+        pa += Addr{chunk} * 8;
+        in += chunk;
+        n -= chunk;
+    }
+}
+
+void
 PhysicalMemory::zeroWithinFrame(Addr pa, Addr bytes)
 {
     const std::size_t frame =

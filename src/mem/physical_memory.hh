@@ -73,7 +73,22 @@ class PhysicalMemory : public Memory
     /** Write an aligned 64-bit word. */
     void write64(Addr pa, std::uint64_t value) override;
 
-    /** Zero-fill a byte range (e.g. a freshly allocated table page). */
+    /** Copy n words out of the flat store. */
+    void readWords(Addr pa, std::uint64_t *out,
+                   std::size_t n) const override;
+
+    /**
+     * write64() of each word, accounted a frame at a time: a frame
+     * that only receives zeros while unmaterialised stays so.
+     */
+    void writeWords(Addr pa, const std::uint64_t *in,
+                    std::size_t n) override;
+
+    /**
+     * Zero-fill a byte range (e.g. a freshly allocated table page).
+     * Unlike writing zeros, a whole frame zeroed here is dropped: it
+     * no longer counts as materialised.
+     */
     void zeroRange(Addr pa, Addr bytes) override;
 
     /**

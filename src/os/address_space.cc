@@ -129,14 +129,19 @@ AddressSpace::populate(const Vma &vma)
 {
     // One step per 2 MB leaf-table span — a huge page or a run of
     // 4 KB slots — leaf for leaf what touch() on every page in
-    // ascending order maps, in the same allocation order.
+    // ascending order maps, in the same allocation order. A 4 KB
+    // span draws its frames in at most two calls, each handing out
+    // what as many allocDataFrame() calls would.
+    const RadixPageTable::DrawFrames draw = [this](std::uint64_t n,
+                                                   Pfn *out) {
+        if (!allocator_.allocFrames(n, FrameKind::Movable, out))
+            fatal("out of physical memory for data pages");
+    };
     for (Addr va = vma.base; va < vma.end();) {
         const Addr span = pageAlignDown(va, PageSize::Size2M);
         const Addr end = std::min(vma.end(), span + hugePageSize);
-        if (!mapHuge(span, vma)) {
-            dataFrames_ += pt_.mapSpan4K(
-                va, end, [this] { return allocDataFrame(); });
-        }
+        if (!mapHuge(span, vma))
+            dataFrames_ += pt_.mapSpan4K(va, end, draw);
         va = end;
     }
 }

@@ -172,6 +172,42 @@ BuddyAllocator::allocPages(int order, FrameKind kind)
     return base;
 }
 
+bool
+BuddyAllocator::allocFrames(std::uint64_t n, FrameKind kind, Pfn *out)
+{
+    DMT_ASSERT(kind != FrameKind::Free, "cannot allocate as Free");
+    if (n > freeFrames_)
+        return false;
+    while (n > 0) {
+        // Successive order-0 allocations drain the lowest block of
+        // the smallest non-empty order from its base up: each split
+        // hands the next call the frame right after the last one.
+        int o = 0;
+        while (freeLists_[o].empty()) {
+            ++o;
+            DMT_ASSERT(o <= maxOrder_, "free frame count corrupt");
+        }
+        const Pfn base = *freeLists_[o].begin();
+        freeLists_[o].erase(freeLists_[o].begin());
+        const std::uint64_t size = std::uint64_t{1} << o;
+        const std::uint64_t take = std::min(n, size);
+        for (Pfn pfn = base; pfn < base + take; ++pfn)
+            *out++ = pfn;
+        setKind(base, take, kind);
+        freeFrames_ -= take;
+        n -= take;
+        // The splits leave the tail as blocks aligned to their own
+        // size; every buddy below them is taken, so none coalesce.
+        for (Pfn b = base + take; b < base + size;) {
+            const int bo = std::countr_zero(b);
+            freeLists_[bo].insert(b);
+            b += Pfn{1} << bo;
+        }
+    }
+    DMT_AUDIT_EVENT(auditor_);
+    return true;
+}
+
 void
 BuddyAllocator::freePages(Pfn base, int order)
 {

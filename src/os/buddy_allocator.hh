@@ -66,6 +66,21 @@ class BuddyAllocator
      */
     std::optional<Pfn> allocPages(int order, FrameKind kind);
 
+    /**
+     * Allocate n single frames at once: exactly the frames, in the
+     * same order, and the same free lists afterwards as n calls to
+     * allocPages(0, kind). Each block taken (the smallest non-empty
+     * order, lowest block first) is used from its base up; the tail
+     * of a block left partly used goes back as the maximal aligned
+     * blocks its splits would have left.
+     *
+     * @param out receives the n frames in allocation order; must have
+     *        room for n
+     * @return false, allocating nothing, if fewer than n frames are
+     *         free
+     */
+    bool allocFrames(std::uint64_t n, FrameKind kind, Pfn *out);
+
     /** Free a block previously returned by allocPages(). */
     void freePages(Pfn base, int order);
 

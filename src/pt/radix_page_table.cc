@@ -51,9 +51,12 @@ void
 RadixPageTable::destroySubtree(Pfn table_pfn, int level, Addr span_base)
 {
     if (level > 1) {
-        for (int i = 0; i < 512; ++i) {
-            const Addr slot = (table_pfn << pageShift) + i * pteSize;
-            const std::uint64_t pte = mem_.read64(slot);
+        // Freeing a child writes only the child's page, so the
+        // entries stay valid across the loop.
+        TableWords buf{};
+        const std::uint64_t *entries = tableEntries(table_pfn, buf);
+        for (int i = 0; i < ptesPerPage; ++i) {
+            const std::uint64_t pte = entries[i];
             if (!pteIsPresent(pte) || pteIsHuge(pte))
                 continue;
             const Addr childSpan =
@@ -149,6 +152,10 @@ RadixPageTable::freeTable(int level, Addr span_base, Pfn pfn)
 std::optional<Pfn>
 RadixPageTable::tableFor(Addr va, int target_level, bool create)
 {
+    // A new table stays empty until the next one down is linked into
+    // it, and allocating that one ticks the allocator's audit events:
+    // no interval sweep may see the chain half built.
+    InvariantAuditor::Pause pause(create ? auditor_ : nullptr);
     Pfn cur = rootPfn_;
     for (int level = levels_; level > target_level; --level) {
         const Addr slot = entrySlot(cur, va, level);
@@ -219,6 +226,77 @@ RadixPageTable::setLeaf(Addr slot, Addr va, Pfn pfn, int level)
     DMT_AUDIT_EVENT(auditor_);
 }
 
+void
+RadixPageTable::setLeafRun(Pfn table_pfn, int first, const Pfn *pfns,
+                           int n)
+{
+    TableWords ptes{};
+    for (int i = 0; i < n; ++i)
+        ptes[i] = makePte(pfns[i], leafFlags);
+    mem_.writeWords((table_pfn << pageShift) + first * pteSize,
+                    ptes.data(), n);
+    mappedLeaves_ += n;
+    leafEpoch_ += n;
+    for (int i = 0; i < n; ++i)
+        DMT_AUDIT_EVENT(auditor_);
+}
+
+std::uint64_t
+RadixPageTable::mapSpan4K(Addr va, Addr end,
+                          const DrawFrames &draw_frames)
+{
+    DMT_ASSERT(va < end && ((va | end) & pageMask) == 0 &&
+                   spanBase(va, 1) == spanBase(end - 1, 1),
+               "mapSpan4K: [0x%llx, 0x%llx) is not a page range of "
+               "one leaf table",
+               static_cast<unsigned long long>(va),
+               static_cast<unsigned long long>(end));
+    Pfn table = leafTableOf(va);
+    if (table == hugeLeaf)
+        return 0;
+    const int first = indexAt(va, 1);
+    const int last = first + static_cast<int>((end - va) >> pageShift);
+    std::array<Pfn, ptesPerPage> frames{};
+    if (table == noTable) {
+        // Every slot is free. The first data frame comes before the
+        // missing tables, and the new leaf table holds a leaf before
+        // the rest are drawn.
+        draw_frames(1, frames.data());
+        table = *tableFor(va, 1, true);
+        setLeaf(entrySlot(table, va, 1), va, frames[0], 1);
+        if (last - first > 1) {
+            draw_frames(last - first - 1, frames.data() + 1);
+            setLeafRun(table, first + 1, frames.data() + 1,
+                       last - first - 1);
+        }
+        return last - first;
+    }
+    TableWords buf{};
+    const std::uint64_t *entries = tableEntries(table, buf);
+    std::uint64_t unmapped = 0;
+    for (int i = first; i < last; ++i)
+        unmapped += pteIsPresent(entries[i]) ? 0 : 1;
+    if (unmapped == 0)
+        return 0;
+    // The frames go to the free slots in ascending order, one write
+    // per run of free slots. A write lands behind the scan, so it
+    // cannot change the entries still to be read.
+    draw_frames(unmapped, frames.data());
+    const Pfn *next = frames.data();
+    for (int i = first; i < last;) {
+        if (pteIsPresent(entries[i])) {
+            ++i;
+            continue;
+        }
+        const int start = i;
+        while (i < last && !pteIsPresent(entries[i]))
+            ++i;
+        setLeafRun(table, start, next, i - start);
+        next += i - start;
+    }
+    return unmapped;
+}
+
 Pfn
 RadixPageTable::leafTableOf(Addr va) const
 {
@@ -261,9 +339,10 @@ RadixPageTable::unmap(Addr va)
 bool
 RadixPageTable::tableEmpty(Pfn table_pfn) const
 {
-    for (int i = 0; i < 512; ++i) {
-        const Addr slot = (table_pfn << pageShift) + i * pteSize;
-        if (pteIsPresent(mem_.read64(slot)))
+    TableWords buf{};
+    const std::uint64_t *entries = tableEntries(table_pfn, buf);
+    for (int i = 0; i < ptesPerPage; ++i) {
+        if (pteIsPresent(entries[i]))
             return false;
     }
     return true;
@@ -403,16 +482,16 @@ RadixPageTable::promote2M(Addr va)
     if (!l1)
         return false;
     // All 512 PTEs must be present and form one aligned 2 MB frame run.
-    const Addr tableBase = *l1 << pageShift;
-    const std::uint64_t first = mem_.read64(tableBase);
-    if (!pteIsPresent(first))
+    TableWords buf{};
+    const std::uint64_t *entries = tableEntries(*l1, buf);
+    if (!pteIsPresent(entries[0]))
         return false;
-    const Pfn basePfn = ptePfn(first);
+    const Pfn basePfn = ptePfn(entries[0]);
     if (basePfn & 0x1ff)
         return false;
-    for (int i = 1; i < 512; ++i) {
-        const std::uint64_t pte = mem_.read64(tableBase + i * pteSize);
-        if (!pteIsPresent(pte) || ptePfn(pte) != basePfn + i)
+    for (int i = 1; i < ptesPerPage; ++i) {
+        if (!pteIsPresent(entries[i]) ||
+            ptePfn(entries[i]) != basePfn + i)
             return false;
     }
     const auto l2 = findTable(va, 2);
@@ -441,10 +520,10 @@ RadixPageTable::demote2M(Addr va)
         return false;
     const Pfn basePfn = ptePfn(pde);
     const Pfn l1 = allocTable(1, spanBase(va, 1));
-    const Addr tableBase = l1 << pageShift;
-    for (int i = 0; i < 512; ++i)
-        mem_.write64(tableBase + i * pteSize,
-                     makePte(basePfn + i, leafFlags));
+    TableWords ptes{};
+    for (int i = 0; i < ptesPerPage; ++i)
+        ptes[i] = makePte(basePfn + i, leafFlags);
+    mem_.writeWords(l1 << pageShift, ptes.data(), ptes.size());
     mem_.write64(l2slot, makePte(l1, tableFlags));
     mappedLeaves_ += 511;
     ++leafEpoch_;
@@ -547,9 +626,10 @@ RadixPageTable::auditSubtree(Pfn table_pfn, int level, AuditSink &sink,
                     "level-%d table frame 0x%llx not marked PageTable",
                     level, static_cast<unsigned long long>(table_pfn));
     bool empty = true;
-    for (int i = 0; i < 512; ++i) {
-        const Addr slot = (table_pfn << pageShift) + i * pteSize;
-        const std::uint64_t pte = mem_.read64(slot);
+    TableWords buf{};
+    const std::uint64_t *entries = tableEntries(table_pfn, buf);
+    for (int i = 0; i < ptesPerPage; ++i) {
+        const std::uint64_t pte = entries[i];
         if (!pteIsPresent(pte))
             continue;
         empty = false;

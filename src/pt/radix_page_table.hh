@@ -20,6 +20,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -143,45 +144,31 @@ class RadixPageTable
     void map(Addr va, Pfn pfn, PageSize size = PageSize::Size4K);
 
     /**
+     * Data-frame source for mapSpan4K(): stores n frames at `out`,
+     * the same frames n single-frame allocations would return.
+     */
+    using DrawFrames = std::function<void(std::uint64_t n, Pfn *out)>;
+
+    /**
      * Map every unmapped 4 KB page of [va, end) to a frame from
-     * next_frame(), in ascending VA order. The range must be page
+     * draw_frames, in ascending VA order. The range must be page
      * aligned and lie inside one leaf-table span (2 MB).
      *
-     * Leaf for leaf this is `if (!translate(p)) map(p, next_frame())`
-     * for every page p: the same checks, one leafEpoch() bump and
-     * audit event per new leaf, and the same allocation order (the
-     * first data frame before any table page the span still lacks).
-     * It walks root to leaf once per span instead of twice per page.
-     * A huge leaf covering the span already maps all of it.
+     * Leaf for leaf this is `if (!translate(p)) map(p, frame)` for
+     * every page p with frames drawn one at a time: the same leaves,
+     * one leafEpoch() bump and audit event per new leaf, and the same
+     * allocation order (the first data frame before any table page
+     * the span still lacks). It walks root to leaf once per span,
+     * draws the span's frames in at most two calls and writes each
+     * run of new leaves with one writeWords(). A leaf table it links
+     * gets its first leaf before the second draw, so no audit tick
+     * sees it empty. A huge leaf covering the span already maps all
+     * of it.
      *
      * @return the number of leaves mapped
      */
-    template <typename NextFrame>
-    std::uint64_t
-    mapSpan4K(Addr va, Addr end, NextFrame &&next_frame)
-    {
-        DMT_ASSERT(va < end && ((va | end) & pageMask) == 0 &&
-                       spanBase(va, 1) == spanBase(end - 1, 1),
-                   "mapSpan4K: [0x%llx, 0x%llx) is not a page range "
-                   "of one leaf table",
-                   static_cast<unsigned long long>(va),
-                   static_cast<unsigned long long>(end));
-        Pfn table = leafTableOf(va);
-        if (table == hugeLeaf)
-            return 0;
-        std::uint64_t mapped = 0;
-        for (Addr p = va; p < end; p += pageSize) {
-            if (table != noTable &&
-                pteIsPresent(win_.read(mem_, entrySlot(table, p, 1))))
-                continue;
-            const Pfn pfn = next_frame();
-            if (table == noTable)
-                table = *tableFor(p, 1, true);
-            setLeaf(entrySlot(table, p, 1), p, pfn, 1);
-            ++mapped;
-        }
-        return mapped;
-    }
+    std::uint64_t mapSpan4K(Addr va, Addr end,
+                            const DrawFrames &draw_frames);
 
     /**
      * @return true if no leaf maps any byte of va's 2 MB span: the
@@ -382,6 +369,32 @@ class RadixPageTable
      */
     void setLeaf(Addr slot, Addr va, Pfn pfn, int level);
 
+    /**
+     * Write n new 4 KB leaves into the empty slots first..first+n-1
+     * of a leaf table with one writeWords(), then account for each
+     * as setLeaf() does (the counters first, so a sweep at any of
+     * the n audit ticks sees them agree with the tree).
+     */
+    void setLeafRun(Pfn table_pfn, int first, const Pfn *pfns, int n);
+
+    /** One table page's entries. */
+    using TableWords = std::array<std::uint64_t, ptesPerPage>;
+
+    /**
+     * @return the entries of a table page: a pointer into the read
+     *         window when it covers the page, else `buf` filled by one
+     *         readWords(). Valid until the page is next written.
+     */
+    const std::uint64_t *
+    tableEntries(Pfn table_pfn, TableWords &buf) const
+    {
+        const Addr pa = table_pfn << pageShift;
+        if (pa + pageSize <= win_.bytes)
+            return win_.words + (pa >> 3);
+        mem_.readWords(pa, buf.data(), buf.size());
+        return buf.data();
+    }
+
     /** @return true if a table page holds no present entries. */
     bool tableEmpty(Pfn table_pfn) const;
 
@@ -411,11 +424,11 @@ class RadixPageTable
     void
     visitLeaves(Pfn table_pfn, int level, Addr span_base, Fn &fn) const
     {
-        const Addr table = table_pfn << pageShift;
+        TableWords buf{};
+        const std::uint64_t *entries = tableEntries(table_pfn, buf);
         const int entryShift = pageShift + 9 * (level - 1);
-        for (int i = 0; i < 512; ++i) {
-            const std::uint64_t pte =
-                win_.read(mem_, table + i * pteSize);
+        for (int i = 0; i < ptesPerPage; ++i) {
+            const std::uint64_t pte = entries[i];
             if (!pteIsPresent(pte))
                 continue;
             const Addr va =

@@ -247,6 +247,7 @@ class NestedTestbed
     MemoryHierarchy &caches() { return caches_; }
     TlbHierarchy &tlbs() { return tlbs_; }
     PhysicalMemory &l0Mem() { return l0Mem_; }
+    BuddyAllocator &l0Allocator() { return l0Alloc_; }
 
     /** Set up all three levels of pvDMT state (before setup). */
     void attachPvDmt();

@@ -15,7 +15,9 @@
 #ifndef DMT_VIRT_GUEST_MEMORY_VIEW_HH
 #define DMT_VIRT_GUEST_MEMORY_VIEW_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/log.hh"
@@ -106,7 +108,85 @@ class GuestMemoryView : public Memory
         backing_.write64(resolve(pa), value);
     }
 
+    /** One resolve() and one backing readWords() per page. */
+    void
+    readWords(Addr pa, std::uint64_t *out, std::size_t n) const override
+    {
+        while (n > 0) {
+            const std::size_t chunk = wordsLeftInPage(pa, n);
+            backing_.readWords(resolve(pa), out, chunk);
+            pa += Addr{chunk} * 8;
+            out += chunk;
+            n -= chunk;
+        }
+    }
+
+    /** One resolve() and one backing writeWords() per page. */
+    void
+    writeWords(Addr pa, const std::uint64_t *in, std::size_t n) override
+    {
+        while (n > 0) {
+            const std::size_t chunk = wordsLeftInPage(pa, n);
+            backing_.writeWords(resolve(pa), in, chunk);
+            pa += Addr{chunk} * 8;
+            in += chunk;
+            n -= chunk;
+        }
+    }
+
+    /**
+     * writeWords() of zeros, a page's worth per call. A backing frame
+     * zeroed through the view stays materialised, as under
+     * write64(pa, 0); only PhysicalMemory's own zeroRange() drops
+     * whole frames.
+     */
+    void
+    zeroRange(Addr pa, Addr bytes) override
+    {
+        static constexpr std::array<std::uint64_t, pageWords> zeros{};
+        DMT_ASSERT(((pa | bytes) & 7) == 0,
+                   "zeroRange must be word aligned");
+        for (std::size_t n = bytes >> 3; n > 0;) {
+            const std::size_t chunk = std::min(n, zeros.size());
+            writeWords(pa, zeros.data(), chunk);
+            pa += Addr{chunk} * 8;
+            n -= chunk;
+        }
+    }
+
+    /**
+     * readWords() then writeWords() through a page-sized bounce
+     * buffer: write64(dst, read64(src)) word for word, with the same
+     * accounting.
+     */
+    void
+    copyRange(Addr dst, Addr src, Addr bytes) override
+    {
+        DMT_ASSERT(((dst | src | bytes) & 7) == 0,
+                   "copyRange must be word aligned");
+        std::array<std::uint64_t, pageWords> buf{};
+        for (std::size_t n = bytes >> 3; n > 0;) {
+            const std::size_t chunk = std::min(n, buf.size());
+            readWords(src, buf.data(), chunk);
+            writeWords(dst, buf.data(), chunk);
+            dst += Addr{chunk} * 8;
+            src += Addr{chunk} * 8;
+            n -= chunk;
+        }
+    }
+
   private:
+    static constexpr std::size_t pageWords = pageSize / 8;
+
+    /** @return min(n, words from pa to the end of its page). */
+    static std::size_t
+    wordsLeftInPage(Addr pa, std::size_t n)
+    {
+        return std::min<std::size_t>(
+            n, static_cast<std::size_t>((pageSize - (pa & pageMask)) >>
+                                        3));
+    }
+
     /** One memoized page: gPA page number -> backing page address. */
     struct Slot
     {

@@ -2,8 +2,9 @@
  * @file
  * Unit and property tests for the buddy allocator: alloc/free
  * round-trips, coalescing, contiguous runs (against a reference first
- * fit), double-free panics, in-place expansion, fragmentation index,
- * and compaction.
+ * fit), batched single frames (against one allocPages(0) per frame),
+ * double-free panics, in-place expansion, fragmentation index, and
+ * compaction.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "buddy_drain.hh"
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
 #include "os/fragmenter.hh"
@@ -258,6 +260,137 @@ TEST(Buddy, AllocContigMatchesReferenceFirstFit)
         }
         alloc.checkConsistency();
     }
+}
+
+/** Marks an output slot allocFrames() must not write. */
+constexpr Pfn kUnset = ~Pfn{0};
+
+/** Twin allocators must agree on kinds and on every free block. */
+void
+expectSameFreeState(BuddyAllocator &a, BuddyAllocator &b)
+{
+    ASSERT_EQ(a.freeFrames(), b.freeFrames());
+    for (Pfn pfn = 0; pfn < a.numFrames(); ++pfn)
+        ASSERT_EQ(a.kindOf(pfn), b.kindOf(pfn)) << "frame " << pfn;
+    EXPECT_EQ(drainFreeBlocks(a), drainFreeBlocks(b));
+}
+
+TEST(Buddy, AllocFramesMatchesOneAllocPagesPerFrame)
+{
+    struct Held
+    {
+        Pfn base;
+        std::uint64_t pages;
+        int order;  //!< buddy order, or -1 for a contiguous run
+    };
+    for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+        Rng rng(seed);
+        // A ragged frame count and a low top order exercise blocks
+        // cut short by the end of memory and the order ceiling.
+        const Pfn frames = (Pfn{1} << 13) + 13;
+        BuddyAllocator singles(frames, 10);
+        BuddyAllocator batched(frames, 10);
+        std::vector<Held> held;
+        for (int step = 0; step < 3000; ++step) {
+            const auto roll = rng.below(100);
+            if (roll < 20) {
+                const int order = static_cast<int>(rng.below(6));
+                const auto pfn =
+                    singles.allocPages(order, FrameKind::Movable);
+                ASSERT_EQ(pfn, batched.allocPages(order,
+                                                  FrameKind::Movable));
+                if (pfn)
+                    held.push_back({*pfn, std::uint64_t{1} << order,
+                                    order});
+            } else if (roll < 30) {
+                const std::uint64_t n = 1 + rng.below(100);
+                const auto run =
+                    singles.allocContig(n, FrameKind::PageTable);
+                ASSERT_EQ(run, batched.allocContig(
+                                   n, FrameKind::PageTable));
+                if (run)
+                    held.push_back({*run, n, -1});
+            } else if (roll < 60) {
+                // Mostly spans' worth of frames, sometimes more than
+                // is free.
+                const std::uint64_t n =
+                    1 + rng.below(rng.below(4) == 0 ? 3000 : 600);
+                const FrameKind kind = rng.below(2)
+                                           ? FrameKind::Movable
+                                           : FrameKind::PageTable;
+                // One slot past n must stay untouched.
+                std::vector<Pfn> got(n + 1, kUnset);
+                const bool ok = batched.allocFrames(n, kind, got.data());
+                ASSERT_EQ(ok, n <= singles.freeFrames())
+                    << "seed " << seed << " step " << step;
+                if (!ok) {
+                    ASSERT_EQ(got, std::vector<Pfn>(n + 1, kUnset));
+                    continue;
+                }
+                std::vector<Pfn> want;
+                for (std::uint64_t i = 0; i < n; ++i)
+                    want.push_back(*singles.allocPages(0, kind));
+                want.push_back(kUnset);
+                ASSERT_EQ(got, want) << "seed " << seed << " step "
+                                     << step << " frames " << n;
+                for (std::uint64_t i = 0; i < n; ++i)
+                    held.push_back({got[i], 1, 0});
+            } else if (!held.empty()) {
+                const auto idx = rng.below(held.size());
+                const Held h = held[idx];
+                for (BuddyAllocator *a : {&singles, &batched}) {
+                    if (h.order >= 0)
+                        a->freePages(h.base, h.order);
+                    else
+                        a->freeContig(h.base, h.pages);
+                }
+                held[idx] = held.back();
+                held.pop_back();
+            }
+            if (step % 500 == 0) {
+                batched.checkConsistency();
+                for (int o = 0; o <= batched.maxOrder(); ++o)
+                    ASSERT_EQ(singles.freeBlocksAt(o),
+                              batched.freeBlocksAt(o));
+            }
+        }
+        batched.checkConsistency();
+        expectSameFreeState(singles, batched);
+    }
+}
+
+TEST(Buddy, AllocFramesBeyondFreeFramesChangesNothing)
+{
+    BuddyAllocator twin(1 << 12);
+    BuddyAllocator alloc(1 << 12);
+    for (BuddyAllocator *a : {&twin, &alloc}) {
+        ASSERT_TRUE(a->allocContig(1000, FrameKind::PageTable));
+        ASSERT_TRUE(a->allocPages(5, FrameKind::Movable));
+        ASSERT_TRUE(a->allocPages(0, FrameKind::Movable));
+    }
+    const std::uint64_t n = alloc.freeFrames() + 1;
+    std::vector<Pfn> out(n, kUnset);
+    EXPECT_FALSE(alloc.allocFrames(n, FrameKind::Movable, out.data()));
+    EXPECT_EQ(out, std::vector<Pfn>(n, kUnset));
+    alloc.checkConsistency();
+    expectSameFreeState(twin, alloc);
+
+    // Exactly what is free succeeds, smallest blocks first, and
+    // leaves nothing.
+    BuddyAllocator full(777);
+    BuddyAllocator fullTwin(777);
+    std::vector<Pfn> all(777, kUnset);
+    ASSERT_TRUE(full.allocFrames(777, FrameKind::Movable, all.data()));
+    std::vector<Pfn> want;
+    for (int i = 0; i < 777; ++i)
+        want.push_back(*fullTwin.allocPages(0, FrameKind::Movable));
+    EXPECT_EQ(all, want);
+    EXPECT_EQ(all.front(), 776u);
+    EXPECT_EQ(full.freeFrames(), 0u);
+    Pfn one = kUnset;
+    EXPECT_FALSE(full.allocFrames(1, FrameKind::Movable, &one));
+    EXPECT_EQ(one, kUnset);
+    full.checkConsistency();
 }
 
 TEST(BuddyDeathTest, FreePagesPanicsOnDoubleFree)

@@ -9,6 +9,9 @@
  * path — TLB replacement, cache indexing, walk lengths, physical
  * memory contents — shows up here as an exact counter diff, even when
  * the aggregate campaign comparison might mask it at small scale.
+ * A second golden pins the set-up state of a virt and a nested pvDMT
+ * 4 KB cell (materialised frames and words, table pages, leaves and
+ * free frames), which no access-loop counter reaches.
  *
  * Regenerate the goldens (after an *intentional* behaviour change)
  * with:
@@ -162,12 +165,15 @@ readGolden(const std::string &path)
     return out;
 }
 
+/**
+ * Compare `stats` with the golden file (rewriting it first under
+ * DMT_UPDATE_GOLDEN).
+ */
 void
-checkAgainstGolden(Design design, const std::string &designToken)
+expectMatchesGolden(const std::string &goldenPath,
+                    const std::string &designToken,
+                    const StatGroup &stats)
 {
-    const std::string goldenPath =
-        dataPath("golden_stats_" + designToken + ".json");
-    const StatGroup stats = runGolden(design);
     if (updateGoldens())
         writeGolden(goldenPath, designToken, stats);
     const auto golden = readGolden(goldenPath);
@@ -186,6 +192,13 @@ checkAgainstGolden(Design design, const std::string &designToken)
     }
 }
 
+void
+checkAgainstGolden(Design design, const std::string &designToken)
+{
+    expectMatchesGolden(dataPath("golden_stats_" + designToken + ".json"),
+                        designToken, runGolden(design));
+}
+
 TEST(GoldenStats, VanillaCountersMatchGolden)
 {
     checkAgainstGolden(Design::Vanilla, "vanilla");
@@ -194,6 +207,87 @@ TEST(GoldenStats, VanillaCountersMatchGolden)
 TEST(GoldenStats, DmtCountersMatchGolden)
 {
     checkAgainstGolden(Design::Dmt, "dmt");
+}
+
+/** Record one space's page-table shape under `prefix`. */
+void
+addSpace(StatGroup &stats, const std::string &prefix,
+         const AddressSpace &space)
+{
+    stats.scalar(prefix + ".table_pages")
+        .inc(static_cast<double>(space.pageTable().tablePages()));
+    stats.scalar(prefix + ".mapped_leaves")
+        .inc(static_cast<double>(space.pageTable().mappedLeaves()));
+}
+
+/** Record one allocator's free frames under `prefix`. */
+void
+addAllocator(StatGroup &stats, const std::string &prefix,
+             const BuddyAllocator &alloc)
+{
+    stats.scalar(prefix + ".free_frames")
+        .inc(static_cast<double>(alloc.freeFrames()));
+}
+
+/** Record a physical memory's materialised frames and words. */
+void
+addMemory(StatGroup &stats, const std::string &prefix,
+          const PhysicalMemory &mem)
+{
+    stats.scalar(prefix + ".frames_in_use")
+        .inc(static_cast<double>(mem.framesInUse()));
+    stats.scalar(prefix + ".words_in_use")
+        .inc(static_cast<double>(mem.wordsInUse()));
+}
+
+/**
+ * The set-up state of a virt and a nested pvDMT 4 KB cell after
+ * build(): what eager container population, TEA moves and table
+ * zeroing through guest-physical views leave behind. The access-loop
+ * goldens above never reach those paths.
+ */
+StatGroup
+setupState()
+{
+    StatGroup stats("setup");
+    const TestbedConfig config = scaledTestbedConfig(kScale);
+    {
+        auto workload = makeWorkload("Redis", kScale);
+        VirtTestbed tb(workload->footprintBytes(), config);
+        tb.attachDmt(/*pv=*/true);
+        workload->setup(tb.proc());
+        tb.build(Design::PvDmt);
+        addMemory(stats, "virt.mem", tb.hostMem());
+        addSpace(stats, "virt.container", tb.vm().containerSpace());
+        addSpace(stats, "virt.guest", tb.proc());
+        addAllocator(stats, "virt.host_alloc", tb.hostAllocator());
+        addAllocator(stats, "virt.guest_alloc", tb.vm().guestAllocator());
+    }
+    {
+        auto workload = makeWorkload("XSBench", kScale);
+        NestedTestbed tb(workload->footprintBytes(), config);
+        tb.attachPvDmt();
+        workload->setup(tb.proc());
+        tb.build(Design::PvDmt);
+        NestedStack &stack = tb.stack();
+        addMemory(stats, "nested.mem", tb.l0Mem());
+        addSpace(stats, "nested.l0_container",
+                 stack.vm1().containerSpace());
+        addSpace(stats, "nested.l1_guest", stack.vm1().guestSpace());
+        addSpace(stats, "nested.l1_container", stack.l1Container());
+        addSpace(stats, "nested.l2", tb.proc());
+        addAllocator(stats, "nested.l0_alloc", tb.l0Allocator());
+        addAllocator(stats, "nested.l1_alloc",
+                     stack.vm1().guestAllocator());
+        addAllocator(stats, "nested.l2_alloc", stack.l2Allocator());
+    }
+    return stats;
+}
+
+TEST(GoldenSetupState, PvDmt4KCellsMatchGolden)
+{
+    expectMatchesGolden(dataPath("golden_setup_pvdmt_4k.json"),
+                        "pvdmt-4k-setup", setupState());
 }
 
 } // namespace

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the virtualization stack: the VM container and
  * guest-physical views, the 2-D nested walker's reference counts
- * (Figure 2), shadow paging, and the nested (L2/L1/L0) stack.
+ * (Figure 2), shadow paging, the nested (L2/L1/L0) stack, and the
+ * page-granular memory operations against the word loops they
+ * replace.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hh"
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
 #include "virt/nested_stack.hh"
@@ -431,6 +434,249 @@ TEST(NestedHypercallTest, CascadedGrantIsL0Contiguous)
                   (grant->hostBasePfn + i) << pageShift);
     }
 }
+
+/**
+ * Host memory under a guest-physical view under a second view. Each
+ * container faults its guest pages in a strided order, so neighbouring
+ * guest pages sit on scattered backing frames at both levels and a
+ * page-straddling range changes frames mid-way. Every target gets a
+ * scratch region that holds no page table.
+ */
+class PageOpMachine
+{
+  public:
+    static constexpr Addr l1Bytes = Addr{16} << 20;
+    static constexpr Addr l2Bytes = Addr{4} << 20;
+    static constexpr Addr regionBytes = Addr{4} << 20;
+
+    PageOpMachine()
+        : mem_(Addr{64} << 20), alloc_(mem_.size() >> pageShift),
+          l1Alloc_(l1Bytes >> pageShift)
+    {
+        outer_ = std::make_unique<AddressSpace>(mem_, alloc_);
+        mapScattered(*outer_, l1Base, l1Bytes);
+        l1View_ = std::make_unique<GuestMemoryView>(
+            mem_, outer_->pageTable(), l1Base, l1Bytes);
+        inner_ = std::make_unique<AddressSpace>(*l1View_, l1Alloc_);
+        mapScattered(*inner_, l2Base, l2Bytes);
+        l2View_ = std::make_unique<GuestMemoryView>(
+            *l1View_, inner_->pageTable(), l2Base, l2Bytes);
+        regions_[0] = {*alloc_.allocContig(regionBytes >> pageShift,
+                                           FrameKind::Movable)
+                           << pageShift,
+                       &mem_};
+        regions_[1] = {*l1Alloc_.allocContig(regionBytes >> pageShift,
+                                             FrameKind::Movable)
+                           << pageShift,
+                       l1View_.get()};
+        regions_[2] = {0, l2View_.get()};
+    }
+
+    PhysicalMemory &backing() { return mem_; }
+
+    /** Target 0 is host memory, 1 the view, 2 the view over it. */
+    Memory &target(int t) { return *regions_[t].mem; }
+    Addr regionBase(int t) const { return regions_[t].base; }
+
+    /** @return the backing address of a target address. */
+    Addr
+    backingOf(int t, Addr pa) const
+    {
+        if (t == 0)
+            return pa;
+        if (t == 1)
+            return l1View_->resolve(pa);
+        return l1View_->resolve(l2View_->resolve(pa));
+    }
+
+  private:
+    static constexpr Addr l1Base = 0x40000000ull;
+    static constexpr Addr l2Base = 0x80000000ull;
+
+    /** Touch page (37 i) mod N for i = 0..N-1 (N a power of two). */
+    static void
+    mapScattered(AddressSpace &space, Addr base, Addr bytes)
+    {
+        space.mmapAt(base, bytes, VmaKind::MappedFile,
+                     /*populate=*/false);
+        const Addr pages = bytes >> pageShift;
+        for (Addr i = 0; i < pages; ++i)
+            space.touch(base + ((i * 37) % pages) * pageSize);
+    }
+
+    struct Region
+    {
+        Addr base = 0;
+        Memory *mem = nullptr;
+    };
+
+    PhysicalMemory mem_;
+    BuddyAllocator alloc_;
+    BuddyAllocator l1Alloc_;
+    std::unique_ptr<AddressSpace> outer_;
+    std::unique_ptr<GuestMemoryView> l1View_;
+    std::unique_ptr<AddressSpace> inner_;
+    std::unique_ptr<GuestMemoryView> l2View_;
+    Region regions_[3];
+};
+
+/** The word loops the page-granular operations replace. */
+struct WordLoops
+{
+    static void
+    readWords(const Memory &m, Addr pa, std::uint64_t *out,
+              std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = m.read64(pa + i * 8);
+    }
+
+    static void
+    writeWords(Memory &m, Addr pa, const std::uint64_t *in,
+               std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            m.write64(pa + i * 8, in[i]);
+    }
+
+    static void
+    zeroRange(Memory &m, Addr pa, Addr bytes)
+    {
+        for (Addr off = 0; off < bytes; off += 8)
+            m.write64(pa + off, 0);
+    }
+
+    static void
+    copyRange(Memory &m, Addr dst, Addr src, Addr bytes)
+    {
+        for (Addr off = 0; off < bytes; off += 8)
+            m.write64(dst + off, m.read64(src + off));
+    }
+};
+
+/** Both machines' backing accounting must agree. */
+void
+expectSameBacking(PageOpMachine &got, PageOpMachine &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.backing().framesInUse(), want.backing().framesInUse())
+        << what;
+    EXPECT_EQ(got.backing().wordsInUse(), want.backing().wordsInUse())
+        << what;
+}
+
+class PageOps : public ::testing::TestWithParam<int>
+{
+};
+
+// Host memory's own zeroRange()/copyRange() drop whole frames by
+// design (see test_mem.cc), so on target 0 only the word reads and
+// writes must match the loops; on the views all four must.
+TEST_P(PageOps, MatchWordLoopsWordForWordAndFrameForFrame)
+{
+    const int t = GetParam();
+    PageOpMachine got;
+    PageOpMachine want;
+    Memory &g = got.target(t);
+    Memory &w = want.target(t);
+    const Addr base = got.regionBase(t);
+    ASSERT_EQ(base, want.regionBase(t));
+    constexpr std::size_t regionWords = PageOpMachine::regionBytes / 8;
+    // Through a view, neighbouring pages are backed apart.
+    if (t > 0) {
+        ASSERT_NE(got.backingOf(t, base + pageSize),
+                  got.backingOf(t, base) + pageSize);
+    }
+
+    Rng rng(0x9a9e0 + t);
+    std::vector<std::uint64_t> a;
+    std::vector<std::uint64_t> b;
+    for (int step = 0; step < 400; ++step) {
+        const std::size_t n = 1 + rng.below(rng.below(4) == 0 ? 2000 : 600);
+        const Addr pa = base + 8 * rng.below(regionWords - n);
+        const auto op = rng.below(t == 0 ? 2 : 4);
+        const std::string what = "step " + std::to_string(step);
+        if (op == 0) {
+            a.resize(n);
+            for (auto &v : a)
+                v = rng.below(3) == 0 ? 0 : rng.next() | 1;
+            g.writeWords(pa, a.data(), n);
+            WordLoops::writeWords(w, pa, a.data(), n);
+        } else if (op == 1) {
+            a.assign(n, 0);
+            b.assign(n, 1);
+            g.readWords(pa, a.data(), n);
+            WordLoops::readWords(w, pa, b.data(), n);
+            ASSERT_EQ(a, b) << what;
+        } else if (op == 2) {
+            // Whole pages half of the time.
+            const Addr at = rng.below(2) ? pageAlignDown(pa) : pa;
+            const Addr bytes = at == pa ? Addr{n} * 8
+                                        : pageAlignUp(Addr{n} * 8);
+            if (at + bytes > base + PageOpMachine::regionBytes)
+                continue;
+            g.zeroRange(at, bytes);
+            WordLoops::zeroRange(w, at, bytes);
+        } else {
+            const Addr src = base + 8 * rng.below(regionWords - n);
+            if (src < pa + n * 8 && pa < src + n * 8)
+                continue;  // ranges must not overlap
+            g.copyRange(pa, src, Addr{n} * 8);
+            WordLoops::copyRange(w, pa, src, Addr{n} * 8);
+        }
+        expectSameBacking(got, want, what);
+        if (HasFailure())
+            return;
+    }
+    a.assign(regionWords, 0);
+    b.assign(regionWords, 1);
+    g.readWords(base, a.data(), regionWords);
+    WordLoops::readWords(w, base, b.data(), regionWords);
+    EXPECT_EQ(a, b);
+}
+
+class ViewPageOps : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ViewPageOps, ZeroingAMaterialisedFrameKeepsIt)
+{
+    const int t = GetParam();
+    PageOpMachine got;
+    PageOpMachine want;
+    const Addr page = got.regionBase(t) + 5 * pageSize;
+    std::vector<std::uint64_t> ones(pageSize / 8, 0x5a5aull);
+    for (PageOpMachine *m : {&got, &want})
+        m->target(t).writeWords(page, ones.data(), ones.size());
+    const std::size_t frames = got.backing().framesInUse();
+    got.target(t).zeroRange(page, pageSize);
+    WordLoops::zeroRange(want.target(t), page, pageSize);
+    expectSameBacking(got, want, "whole-frame zero");
+    EXPECT_EQ(got.backing().framesInUse(), frames);
+    EXPECT_EQ(got.target(t).read64(page + 8), 0u);
+    // Copying a zero page over a materialised one keeps it too.
+    for (PageOpMachine *m : {&got, &want})
+        m->target(t).writeWords(page, ones.data(), ones.size());
+    got.target(t).copyRange(page, page + pageSize, pageSize);
+    WordLoops::copyRange(want.target(t), page, page + pageSize,
+                         pageSize);
+    expectSameBacking(got, want, "zero-page copy");
+    EXPECT_EQ(got.backing().framesInUse(), frames);
+}
+
+std::string
+pageOpTargetName(const ::testing::TestParamInfo<int> &target)
+{
+    return target.param == 0   ? "host"
+           : target.param == 1 ? "view"
+                               : "view_of_view";
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, PageOps, ::testing::Values(0, 1, 2),
+                         pageOpTargetName);
+// Host memory drops a frame zeroed whole by design.
+INSTANTIATE_TEST_SUITE_P(Targets, ViewPageOps, ::testing::Values(1, 2),
+                         pageOpTargetName);
 
 } // namespace
 } // namespace dmt
