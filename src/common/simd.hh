@@ -3,15 +3,16 @@
  * The wide-ops layer: portable data-parallel kernels for the hot
  * probe loops.
  *
- * Every lookup structure in the simulator (TLB sets, cache sets, PWC
- * banks) keeps its match keys as contiguous 8-byte arrays precisely
- * so the probe is a streaming equality sweep. This header turns that
- * sweep into one (or a few) vector compares. One backend is selected
- * at compile time — AVX2, SSE2, NEON, or the scalar fallback — and
- * reported at runtime through backendName() so `--json` artifacts
- * record which kernels produced a measurement. The scalar fallback
- * is the default; `-DDMT_SIMD=on` opts into the widest backend the
- * compile flags allow (see the selection block below for why).
+ * The TLB sets and PWC banks keep their match keys as contiguous
+ * 8-byte arrays precisely so the probe is a streaming equality sweep
+ * (cache sets are recency-ordered and scanned front to back instead).
+ * This header turns that sweep into one (or a few) vector compares.
+ * One backend is selected at compile time — AVX2, SSE2, NEON, or the
+ * scalar fallback — and reported at runtime through backendName() so
+ * `--json` artifacts record which kernels produced a measurement. The
+ * scalar fallback is the default; `-DDMT_SIMD=on` opts into the widest
+ * backend the compile flags allow (see the selection block below for
+ * why).
  *
  * Contract: every wide kernel is bit-for-bit equivalent to its
  * scalar reference (the *Ref function next to it), for every input —

@@ -92,7 +92,8 @@ DmtVirtFetcher::DmtVirtFetcher(const DmtRegisterFile &guest_regs,
 }
 
 bool
-DmtVirtFetcher::hostFetch(Addr gpa, WalkRecord &rec, Addr &hpa_out)
+DmtVirtFetcher::hostFetch(Addr gpa, WalkRecord &rec, Addr &hpa_out,
+                          PageSize &size_out)
 {
     const Addr hva = vm_.gpaToHva(gpa);
     const DirectProbe probe =
@@ -112,6 +113,7 @@ DmtVirtFetcher::hostFetch(Addr gpa, WalkRecord &rec, Addr &hpa_out)
              probe.pteAddr});
     }
     hpa_out = dmtLeafPa(probe.pte, probe.size, hva);
+    size_out = probe.size;
     return true;
 }
 
@@ -145,9 +147,11 @@ DmtVirtFetcher::walkTwoRef(Addr gva, WalkRecord &rec)
 
     // Reference 2: the host PTE of the data page.
     Addr hpa = 0;
-    if (!hostFetch(dataGpa, rec, hpa))
+    PageSize hsize = PageSize::Size4K;
+    if (!hostFetch(dataGpa, rec, hpa, hsize))
         return false;
     rec.pa = hpa;
+    rec.linearSize = std::min(rec.size, hsize);
     return true;
 }
 
@@ -220,9 +224,11 @@ DmtVirtFetcher::walkThreeRef(Addr gva, WalkRecord &rec)
 
     // Ref 3: host PTE for the data page.
     Addr hpa = 0;
-    if (!hostFetch(dataGpa, rec, hpa))
+    PageSize hsize = PageSize::Size4K;
+    if (!hostFetch(dataGpa, rec, hpa, hsize))
         return false;
     rec.pa = hpa;
+    rec.linearSize = std::min(rec.size, hsize);
     return true;
 }
 
@@ -331,6 +337,7 @@ DmtNestedFetcher::walk(Addr l2va)
         if (recordSteps_)
             rec.steps.push_back({'h', 1, p0.latency, -1, p0.pteAddr});
         rec.pa = dmtLeafPa(p0.pte, p0.size, hva);
+        rec.linearSize = std::min({p2.size, p1.size, p0.size});
         ok = true;
     } while (false);
 

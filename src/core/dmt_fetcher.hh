@@ -174,8 +174,12 @@ class DmtVirtFetcher : public TranslationMechanism
     bool walkThreeRef(Addr gva, WalkRecord &rec);
     /** The pvDMT two-reference path. */
     bool walkTwoRef(Addr gva, WalkRecord &rec);
-    /** Final host-side fetch of the data page's hPTE. */
-    bool hostFetch(Addr gpa, WalkRecord &rec, Addr &hpa_out);
+    /**
+     * Final host-side fetch of the data page's hPTE: on success
+     * `hpa_out` backs gpa and `size_out` is the host leaf size.
+     */
+    bool hostFetch(Addr gpa, WalkRecord &rec, Addr &hpa_out,
+                   PageSize &size_out);
 
     const DmtRegisterFile &guestRegs_;
     const DmtRegisterFile &hostRegs_;
@@ -315,6 +319,7 @@ DmtNativeFetcher::walk(Addr va)
     rec.parallelRefs = probe.probes - 1;
     rec.dmtProbes = static_cast<std::uint8_t>(probe.probes);
     rec.size = probe.size;
+    rec.linearSize = probe.size;
     rec.pa = dmtLeafPa(probe.pte, probe.size, va);
     if (recordSteps_)
         rec.steps.push_back({'d', 1, probe.latency, -1,

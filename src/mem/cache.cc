@@ -24,7 +24,6 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     lineShift_ = std::countr_zero(
         static_cast<unsigned>(config.lineBytes));
     tags_.assign(numSets_ * config.associativity, invalidAddr);
-    lastUse_.assign(numSets_ * config.associativity, 0);
 }
 
 void
@@ -42,42 +41,30 @@ Cache::hostPrefetch(Addr addr) const
 void
 Cache::insert(Addr addr)
 {
-    const std::size_t base = setIndex(addr) * config_.associativity;
+    Addr *set = &tags_[setIndex(addr) * config_.associativity];
     const Addr tag = tagOf(addr);
-    ++tick_;
-    int match = -1;
+    int way = config_.associativity - 1;  // LRU line or invalid way
     for (int w = 0; w < config_.associativity; ++w) {
-        if (tags_[base + w] == tag)
-            match = w;
+        if (set[w] == tag) {
+            way = w;  // already resident: just promote
+            break;
+        }
     }
-    if (match >= 0) {
-        lastUse_[base + match] = tick_;
-        return;  // already resident
-    }
-    std::size_t victim = base;
-    std::uint64_t best = lastUse_[base];
-    for (int w = 1; w < config_.associativity; ++w) {
-        // Branchless first-minimum: stamps are in random order, so a
-        // conditional-move beats an unpredictable compare branch.
-        const std::uint64_t lu = lastUse_[base + w];
-        const bool lower = lu < best;
-        best = lower ? lu : best;
-        victim = lower ? base + w : victim;
-    }
-    tags_[victim] = tag;
-    lastUse_[victim] = tick_;
-    mru_ = victim;
+    set[way] = tag;
+    promote(set, way);
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    const std::size_t base = setIndex(addr) * config_.associativity;
+    Addr *set = &tags_[setIndex(addr) * config_.associativity];
     const Addr tag = tagOf(addr);
     for (int w = 0; w < config_.associativity; ++w) {
-        if (tags_[base + w] == tag) {
-            tags_[base + w] = invalidAddr;
-            lastUse_[base + w] = 0;
+        if (set[w] == tag) {
+            // Close the gap so invalid ways stay at the tail.
+            for (int v = w + 1; v < config_.associativity; ++v)
+                set[v - 1] = set[v];
+            set[config_.associativity - 1] = invalidAddr;
             return;
         }
     }
@@ -98,7 +85,6 @@ void
 Cache::flush()
 {
     tags_.assign(tags_.size(), invalidAddr);
-    lastUse_.assign(lastUse_.size(), 0);
 }
 
 void
@@ -106,10 +92,19 @@ Cache::audit(AuditSink &sink) const
 {
     for (std::size_t set = 0; set < numSets_; ++set) {
         const std::size_t base = set * config_.associativity;
+        bool sawInvalid = false;
         for (int w = 0; w < config_.associativity; ++w) {
             const Addr tag = tags_[base + w];
-            if (tag == invalidAddr)
+            if (tag == invalidAddr) {
+                sawInvalid = true;
                 continue;
+            }
+            DMT_AUDIT_CHECK(sink, !sawInvalid,
+                            "%s: line 0x%llx in way %d of set %zu "
+                            "follows an invalid way",
+                            config_.name.c_str(),
+                            static_cast<unsigned long long>(tag), w,
+                            set);
             DMT_AUDIT_CHECK(sink, (tag & (numSets_ - 1)) == set,
                             "%s: tag 0x%llx sits in set %zu but "
                             "indexes to set %llu",
@@ -118,36 +113,13 @@ Cache::audit(AuditSink &sink) const
                             set,
                             static_cast<unsigned long long>(
                                 tag & (numSets_ - 1)));
-            DMT_AUDIT_CHECK(sink, lastUse_[base + w] <= tick_,
-                            "%s: LRU stamp %llu ahead of the cache "
-                            "clock %llu",
-                            config_.name.c_str(),
-                            static_cast<unsigned long long>(
-                                lastUse_[base + w]),
-                            static_cast<unsigned long long>(tick_));
-            DMT_AUDIT_CHECK(sink, lastUse_[base + w] > 0,
-                            "%s: resident line 0x%llx in set %zu "
-                            "carries the invalid-way LRU stamp 0",
-                            config_.name.c_str(),
-                            static_cast<unsigned long long>(tag),
-                            set);
             for (int v = w + 1; v < config_.associativity; ++v) {
-                if (tags_[base + v] == invalidAddr)
-                    continue;
                 DMT_AUDIT_CHECK(sink, tags_[base + v] != tag,
                                 "%s: line 0x%llx resident twice in "
                                 "set %zu",
                                 config_.name.c_str(),
                                 static_cast<unsigned long long>(tag),
                                 set);
-                DMT_AUDIT_CHECK(sink,
-                                lastUse_[base + v] !=
-                                    lastUse_[base + w],
-                                "%s: two ways of set %zu share LRU "
-                                "stamp %llu",
-                                config_.name.c_str(), set,
-                                static_cast<unsigned long long>(
-                                    lastUse_[base + w]));
             }
         }
     }

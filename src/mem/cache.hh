@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hh"
 #include "common/types.hh"
 
 namespace dmt
@@ -32,7 +31,17 @@ struct CacheConfig
     Cycles roundTrip = 0;   //!< access latency when this level hits
 };
 
-/** Set-associative cache with true-LRU replacement. */
+/**
+ * Set-associative cache with true-LRU replacement.
+ *
+ * Each set is kept in recency order: way 0 holds the most recently
+ * used line, and the valid lines are followed by the invalid ways. A
+ * hit moves its line to way 0, a fill shifts the set down one way and
+ * drops the last (the LRU line, or an invalid way while the set has
+ * one), and invalidate() closes the gap it leaves. That is exactly
+ * true LRU with fills into an invalid way first, with no per-way
+ * stamps: the position is the age.
+ */
 class Cache
 {
   public:
@@ -40,10 +49,6 @@ class Cache
 
     /**
      * Look up a line; on hit, the line is promoted to MRU.
-     * A one-entry MRU filter short-circuits the set scan when the
-     * same line is touched back to back (common for walk metadata);
-     * the filter is invisible in stats — hit/miss counters and LRU
-     * stamps evolve exactly as the plain scan would.
      * Defined inline below: every simulated access runs this several
      * times per hierarchy level, so the body must inline into the
      * MemoryHierarchy cascade rather than cost a cross-TU call.
@@ -57,10 +62,9 @@ class Cache
     /**
      * Fused access()-then-insert(): look up a line and, on miss, fill
      * it in the same set scan. Exactly equivalent to `access(addr)`
-     * followed (on miss) by `insert(addr)` — same hit/miss counters,
-     * LRU stamps, victim choice, and MRU filter state — but with one
-     * scan instead of two. The batched simulator loop uses this for
-     * every hierarchy level that both probes and fills.
+     * followed (on miss) by `insert(addr)` — same hit/miss counters
+     * and set order — but with one scan instead of two. The
+     * hierarchy uses this for every level that both probes and fills.
      * @return true on hit.
      */
     bool accessFill(Addr addr);
@@ -83,8 +87,9 @@ class Cache
     /**
      * Audit-layer entry point: report every resident line whose tag
      * does not index to the set it occupies, duplicate tags within a
-     * set (phantom extra occupancy), and malformed LRU ages — stamps
-     * ahead of the cache's clock or shared by two ways of one set.
+     * set (phantom extra occupancy), and every valid way that follows
+     * an invalid one (a broken recency order, which would let a fill
+     * evict a live line while an invalid way is free).
      */
     void audit(AuditSink &sink) const;
 
@@ -93,44 +98,41 @@ class Cache
     Counter misses() const { return misses_; }
 
   private:
+    friend class AuditCorruptor;
+
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
 
     /**
      * Hot-path bodies specialized on the way count: access()/
-     * accessFill() dispatch to an instantiation whose scan loops
-     * have compile-time trip counts (kAssoc == 0 is the generic
-     * runtime-bound fallback), so the tag sweep unrolls and
-     * vectorizes instead of looping on a loaded bound.
+     * accessFill() dispatch to an instantiation whose scan and shift
+     * loops have compile-time trip counts (kAssoc == 0 is the generic
+     * runtime-bound fallback), so they unroll instead of looping on a
+     * loaded bound.
      */
     template <int kAssoc> bool accessTpl(Addr addr);
     template <int kAssoc> bool accessFillTpl(Addr addr);
+
+    /** Move the line in `way` to the front of `set`. */
+    static void
+    promote(Addr *set, int way)
+    {
+        const Addr tag = set[way];
+        for (int w = way; w > 0; --w)
+            set[w] = set[w - 1];
+        set[0] = tag;
+    }
 
     CacheConfig config_;
     std::size_t numSets_;
     int lineShift_;
     /**
-     * Set-major struct-of-arrays way state: the match scan streams
-     * over contiguous 8-byte tags (vectorizable, two lines for a
-     * 16-way set) instead of 24-byte way structs. A way is invalid
-     * iff its tag is `invalidAddr` (real tags are `addr >> lineShift_`
-     * and cannot reach it); invalid ways keep `lastUse_ == 0`, below
-     * every valid stamp (the clock pre-increments, so valid ways are
-     * stamped >= 1). Victim selection is then a plain first-minimum
-     * scan of lastUse_, which reproduces the AoS scan's choice
-     * exactly: first invalid way if any, else lowest stamp, ties to
-     * the lowest way index.
+     * Set-major tags, each set in recency order (way 0 is MRU). A way
+     * is invalid iff its tag is `invalidAddr` (real tags are
+     * `addr >> lineShift_` and cannot reach it), and invalid ways
+     * only ever trail the valid ones.
      */
-    std::vector<Addr> tags_;            //!< numSets_ * associativity
-    std::vector<std::uint64_t> lastUse_;  //!< LRU stamps, same layout
-    /**
-     * Index of the most recently hit/inserted way. A tag match here
-     * is conclusive: tags embed the set index, so an equal tag in
-     * the wrong set is impossible while the set-indexing invariant
-     * (audited) holds.
-     */
-    std::size_t mru_ = 0;
-    std::uint64_t tick_ = 0;
+    std::vector<Addr> tags_;
     Counter hits_ = 0;
     Counter misses_ = 0;
 };
@@ -153,23 +155,16 @@ Cache::accessTpl(Addr addr)
 {
     const int assoc = kAssoc ? kAssoc : config_.associativity;
     const Addr tag = tagOf(addr);
-    ++tick_;
-    // MRU filter: repeated touches of one line skip the set scan.
-    // Counter and LRU updates are identical to the scan's hit path.
-    if (tags_[mru_] == tag) {
-        lastUse_[mru_] = tick_;
-        ++hits_;
-        return true;
-    }
-    const std::size_t base = setIndex(addr) * assoc;
-    // Wide tag scan over the contiguous tag array; invalid ways hold
-    // the unmatchable sentinel, so no validity check.
-    const int match = simd::findLastEqU64(&tags_[base], assoc, tag);
-    if (match >= 0) {
-        lastUse_[base + match] = tick_;
-        ++hits_;
-        mru_ = base + match;
-        return true;
+    Addr *set = &tags_[setIndex(addr) * assoc];
+    // Recently used lines sit at the front, so a hit usually ends the
+    // scan within a way or two. Invalid ways hold the unmatchable
+    // sentinel, so no validity check.
+    for (int w = 0; w < assoc; ++w) {
+        if (set[w] == tag) {
+            promote(set, w);
+            ++hits_;
+            return true;
+        }
     }
     ++misses_;
     return false;
@@ -178,7 +173,7 @@ Cache::accessTpl(Addr addr)
 inline bool
 Cache::access(Addr addr)
 {
-    // One predictable jump buys compile-time scan bounds; the
+    // One predictable jump buys compile-time loop bounds; the
     // default arm keeps arbitrary geometries working.
     switch (config_.associativity) {
       case 4:
@@ -200,35 +195,15 @@ template <int kAssoc>
 bool
 Cache::accessFillTpl(Addr addr)
 {
+    if (accessTpl<kAssoc>(addr))
+        return true;
+    // Miss: the new line becomes MRU and the last way (the LRU line,
+    // or an invalid way while the set has one) drops off the end.
     const int assoc = kAssoc ? kAssoc : config_.associativity;
-    const Addr tag = tagOf(addr);
-    ++tick_;
-    if (tags_[mru_] == tag) {
-        lastUse_[mru_] = tick_;
-        ++hits_;
-        return true;
-    }
-    const std::size_t base = setIndex(addr) * assoc;
-    const int match = simd::findLastEqU64(&tags_[base], assoc, tag);
-    if (match >= 0) {
-        lastUse_[base + match] = tick_;
-        ++hits_;
-        mru_ = base + match;
-        return true;
-    }
-    ++misses_;
-    // The fill runs on the insert()'s own clock tick, so LRU stamps
-    // evolve exactly as the split access+insert pair's would.
-    ++tick_;
-    // First-minimum victim scan: stamps are in random order, so the
-    // lane-parallel (or conditional-move) sweep beats an
-    // unpredictable compare branch per way.
-    const std::size_t victim =
-        base + static_cast<std::size_t>(
-                   simd::minIndexU64(&lastUse_[base], assoc));
-    tags_[victim] = tag;
-    lastUse_[victim] = tick_;
-    mru_ = victim;
+    Addr *set = &tags_[setIndex(addr) * assoc];
+    for (int w = assoc - 1; w > 0; --w)
+        set[w] = set[w - 1];
+    set[0] = tagOf(addr);
     return false;
 }
 

@@ -53,6 +53,15 @@ struct WalkRecord
     int parallelRefs = 0;    //!< extra refs issued in parallel
     Addr pa = 0;             //!< final translated physical address
     PageSize size = PageSize::Size4K;  //!< leaf page size
+    /**
+     * Largest aligned span around va known to map onto one physical
+     * run. The TLB entry the walk fills (at `size`) carries `pa` for
+     * its whole page only when this covers it. Walkers that track
+     * every dimension's leaf set it (the leaf size natively, the
+     * smallest leaf of the chain under virtualization); 4 KB is
+     * always safe.
+     */
+    PageSize linearSize = PageSize::Size4K;
     bool fellBack = false;   //!< served by the x86 walker fallback
     /** Per-step costs; filled only when step recording is enabled. */
     std::vector<WalkStepCost> steps;
@@ -73,6 +82,9 @@ struct WalkRecord
     std::uint8_t dmtProbes = 0;      //!< parallel TEA probes issued
     std::uint8_t dmtFaults = 0;      //!< pvDMT gTEA isolation faults
     bool gteaPath = false;           //!< went through a gTEA table
+
+    /** The TLB entry for this walk can carry `pa` for its page. */
+    bool linear() const { return linearSize >= size; }
 };
 
 /** A translation design under evaluation. */
@@ -96,7 +108,8 @@ class TranslationMechanism
     /**
      * Resolve va to its final physical address *functionally* (no
      * latency, no cache effects) — used by the simulator to charge
-     * the data access itself and by tests as ground truth.
+     * the data access of a TLB hit whose entry is not linear
+     * (WalkRecord::linearSize), and by tests as ground truth.
      */
     virtual Addr resolve(Addr va) = 0;
 

@@ -122,6 +122,7 @@ RadixWalker::walk(Addr va)
     else if (leaf.level == 3)
         size = PageSize::Size1G;
     rec.size = size;
+    rec.linearSize = size;
     const Addr offset = va & (pageBytesOf(size) - 1);
     rec.pa = (ptePfn(leaf.pte) << pageShift) + offset;
     return rec;

@@ -222,11 +222,11 @@ NativeTestbed::attachAuditor(InvariantAuditor &auditor)
     caches_.attachAuditor(auditor, "caches");
     tlbs_.attachAuditor(
         auditor,
-        [this](Addr va) -> std::optional<PageSize> {
+        [this](Addr va) -> std::optional<Tlb::Mapping> {
             const auto tr = proc_->pageTable().translate(va);
             if (!tr)
                 return std::nullopt;
-            return tr->size;
+            return Tlb::Mapping{tr->pa, tr->size};
         },
         "tlb");
     proc_->pageTable().attachAuditor(auditor, "radix-pt");
@@ -404,7 +404,7 @@ VirtTestbed::attachAuditor(InvariantAuditor &auditor)
     caches_.attachAuditor(auditor, "caches");
     tlbs_.attachAuditor(
         auditor,
-        [this](Addr va) -> std::optional<PageSize> {
+        [this](Addr va) -> std::optional<Tlb::Mapping> {
             // The guest-most page table is the authority on what the
             // TLB may cache; when a shadow pager is active its table
             // decides instead, because shadowing can splinter guest
@@ -415,13 +415,19 @@ VirtTestbed::attachAuditor(InvariantAuditor &auditor)
                 const auto str = sp->table().translate(va);
                 if (!str)
                     return std::nullopt;
-                return str->size;
+                return Tlb::Mapping{str->pa, str->size};
             }
             const auto tr =
                 vm_->guestSpace().pageTable().translate(va);
             if (!tr)
                 return std::nullopt;
-            return tr->size;
+            // Through the container table, not gpaToHostPa(), so an
+            // unbacked guest frame is reported instead of panicking.
+            const auto htr = vm_->containerSpace().pageTable().translate(
+                vm_->gpaToHva(tr->pa));
+            if (!htr)
+                return std::nullopt;
+            return Tlb::Mapping{htr->pa, tr->size};
         },
         "tlb");
     vm_->guestSpace().pageTable().attachAuditor(auditor, "guest-pt");
@@ -559,12 +565,24 @@ NestedTestbed::attachAuditor(InvariantAuditor &auditor)
     caches_.attachAuditor(auditor, "caches");
     tlbs_.attachAuditor(
         auditor,
-        [this](Addr va) -> std::optional<PageSize> {
+        [this](Addr va) -> std::optional<Tlb::Mapping> {
             const auto tr =
                 stack_->l2Space().pageTable().translate(va);
             if (!tr)
                 return std::nullopt;
-            return tr->size;
+            // Table by table, as NestedStack::audit walks the chain, so
+            // a lost backing is reported instead of panicking.
+            const auto tr1 =
+                stack_->l1Container().pageTable().translate(
+                    stack_->l2paToL1va(tr->pa));
+            if (!tr1)
+                return std::nullopt;
+            const auto tr0 =
+                stack_->vm1().containerSpace().pageTable().translate(
+                    stack_->vm1().gpaToHva(tr1->pa));
+            if (!tr0)
+                return std::nullopt;
+            return Tlb::Mapping{tr0->pa, tr->size};
         },
         "tlb");
     stack_->attachAuditor(auditor, "nested");

@@ -17,23 +17,14 @@ namespace
 
 /**
  * Compile-time per-design knobs of the specialized loops. The
- * primary template is the conservative default every design gets
- * through the generic `TranslationMechanism` instantiation; the
- * specializations below are the two concrete designs runRange()
- * dispatches on.
+ * primary template is the default every design gets, including the
+ * generic `TranslationMechanism` instantiation; the native DMT
+ * fetcher, one of the two concrete designs runRange() dispatches
+ * on, overrides it.
  */
 template <class Mech>
 struct MechTraits
 {
-    /**
-     * resolve() is known pure — a function of the page tables with
-     * no latency charges, no cache-state changes, and no counters
-     * (the TranslationMechanism contract, but only *known* for
-     * concrete types) — so the batched loop's per-batch memo may
-     * skip repeat resolves of one page. Designs without the trait
-     * get no memo and stay bitwise-safe.
-     */
-    static constexpr bool kPureResolve = false;
     /**
      * Whether the batched pipeline's walk-prefetch hint stage (the
      * read-only miss screen + prefetchWalks) pays for this design.
@@ -48,16 +39,8 @@ struct MechTraits
 };
 
 template <>
-struct MechTraits<RadixWalker>
-{
-    static constexpr bool kPureResolve = true;
-    static constexpr bool kWalkPrefetch = true;
-};
-
-template <>
 struct MechTraits<DmtNativeFetcher>
 {
-    static constexpr bool kPureResolve = true;
     static constexpr bool kWalkPrefetch = false;
 };
 
@@ -218,26 +201,21 @@ TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
     for (std::uint64_t i = begin; i < end; ++i) {
         const bool measuring = i >= config.warmupAccesses;
         const Addr va = trace.next();
-        PageSize hitSize = PageSize::Size4K;
-        TlbHierarchy::Result tlb;
-        if constexpr (kTrace) {
+        if constexpr (kTrace)
             tally.reset();
-            tlb = tlbs_.lookupData(va, &hitSize);
-        } else {
-            tlb = tlbs_.lookupData(va);
-        }
+        const TlbHierarchy::Lookup tlb = tlbs_.lookupData(va);
 
         if (measuring) {
             ++result.accesses;
-            if (tlb == TlbHierarchy::Result::L1Hit)
+            if (tlb.level == TlbHierarchy::Result::L1Hit)
                 ++result.l1TlbHits;
-            else if (tlb == TlbHierarchy::Result::L2Hit)
+            else if (tlb.level == TlbHierarchy::Result::L2Hit)
                 ++result.l2TlbHits;
         }
 
-        if (tlb == TlbHierarchy::Result::Miss) {
+        if (tlb.level == TlbHierarchy::Result::Miss) {
             const WalkRecord rec = mech.walk(va);
-            tlbs_.insertData(va, rec.size);
+            tlbs_.insertData(va, rec.size, rec.pa, rec.linear());
             if (measuring) {
                 ++result.walks;
                 result.walkCycles += static_cast<double>(rec.latency);
@@ -291,8 +269,9 @@ TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
                 sink_->emit(ev, rec.steps);
             }
         } else {
-            // Data access via the functional translation.
-            const Addr pa = mech.resolve(va);
+            // The data access, at the entry's carried translation
+            // (or a functional one for a non-linear entry).
+            const Addr pa = tlb.linear ? tlb.pa : mech.resolve(va);
             caches_.access(pa);
             if constexpr (kTrace) {
                 obs::TranslationEvent ev;
@@ -300,12 +279,12 @@ TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
                 ev.va = va;
                 ev.pa = pa;
                 ev.tlb = static_cast<std::uint8_t>(
-                    tlb == TlbHierarchy::Result::L1Hit
+                    tlb.level == TlbHierarchy::Result::L1Hit
                         ? obs::TlbLevel::L1
                         : obs::TlbLevel::Stlb);
                 ev.path = static_cast<std::uint8_t>(
                     obs::EventPath::TlbHit);
-                ev.pageSize = static_cast<std::uint8_t>(hitSize);
+                ev.pageSize = static_cast<std::uint8_t>(tlb.size);
                 ev.flags = measuring ? obs::kEventMeasured : 0;
                 fillTally(ev, tally);
                 sink_->emit(ev, kNoSteps);
@@ -336,36 +315,6 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
     std::vector<Addr> vas(batch);
     std::vector<Addr> missVas;
     missVas.reserve(batch);
-
-    /**
-     * Per-batch translation memo over the TLB-hit resolve path,
-     * exploiting intra-batch page locality: a batch touching one 4 KB
-     * page 50 times resolves it once instead of 50 times. Keyed on
-     * the 4 KB VPN and valid for the current batch only (epoch
-     * check); both walk() results and resolve() results seed it.
-     * Correctness: resolve() is pure for designs carrying the
-     *   kPureResolve trait, and the memoized base reproduces its
-     *   value exactly — pa's low 12 bits always equal va's (every
-     *   page size is 4 KB-aligned and ≥ 4 KB), so
-     *   `base | (va & 0xfff)` with `base = pa & ~0xfff` is the
-     *   resolve() result for every va in that 4 KB page, whatever
-     *   the mapping granularity. Nothing else in the hit path is
-     *   skipped — the data-access cache charge still happens per
-     *   access — so counters, stepCosts, and event streams are
-     *   charged exactly as if each access probed (the `ctest -L
-     *   perf` differential suite pins this against --batch 1).
-     */
-    constexpr bool kMemo = MechTraits<Mech>::kPureResolve;
-    constexpr std::uint64_t kMemoSlots = 512;  // direct-mapped
-    std::vector<std::uint64_t> memoVpn;
-    std::vector<Addr> memoBase;
-    std::vector<std::uint64_t> memoEpoch;
-    std::uint64_t epoch = 0;
-    if constexpr (kMemo) {
-        memoVpn.assign(kMemoSlots, ~0ull);
-        memoBase.assign(kMemoSlots, 0);
-        memoEpoch.assign(kMemoSlots, 0);
-    }
 
     // Hint-stage gate: when the simulated model state is small enough
     // to live in the host's caches, warming it ahead of stage 4 buys
@@ -424,37 +373,22 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
         // Stage 4: the exact commit pass — identical simulated
         // operations in identical order to the scalar loop, with
         // counters held in per-batch accumulators.
-        ++epoch;  // invalidates the whole memo in O(1)
         BatchStats bs;
         for (std::uint64_t j = 0; j < n; ++j) {
             const Addr va = vas[j];
-            PageSize hitSize = PageSize::Size4K;
-            TlbHierarchy::Result tlb;
-            if constexpr (kTrace) {
+            if constexpr (kTrace)
                 tally.reset();
-                tlb = tlbs_.lookupData(va, &hitSize);
-            } else {
-                tlb = tlbs_.lookupData(va);
-            }
+            const TlbHierarchy::Lookup tlb = tlbs_.lookupData(va);
 
             ++bs.accesses;
-            if (tlb == TlbHierarchy::Result::L1Hit)
+            if (tlb.level == TlbHierarchy::Result::L1Hit)
                 ++bs.l1TlbHits;
-            else if (tlb == TlbHierarchy::Result::L2Hit)
+            else if (tlb.level == TlbHierarchy::Result::L2Hit)
                 ++bs.l2TlbHits;
 
-            if (tlb == TlbHierarchy::Result::Miss) {
+            if (tlb.level == TlbHierarchy::Result::Miss) {
                 const WalkRecord rec = mech.walk(va);
-                tlbs_.insertData(va, rec.size);
-                if constexpr (kMemo) {
-                    // Seed the memo: later hits on this page skip
-                    // their resolve().
-                    const std::uint64_t vpn = va >> pageShift;
-                    const std::size_t slot = vpn & (kMemoSlots - 1);
-                    memoVpn[slot] = vpn;
-                    memoBase[slot] = rec.pa & ~Addr{0xfff};
-                    memoEpoch[slot] = epoch;
-                }
+                tlbs_.insertData(va, rec.size, rec.pa, rec.linear());
                 ++bs.walks;
                 bs.walkCycles += static_cast<Counter>(rec.latency);
                 bs.seqRefs += static_cast<Counter>(rec.seqRefs);
@@ -508,24 +442,9 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
                     sink_->emit(ev, rec.steps);
                 }
             } else {
-                // Data access via the functional translation,
-                // memoized per batch for pure-resolve designs.
-                Addr pa;
-                if constexpr (kMemo) {
-                    const std::uint64_t vpn = va >> pageShift;
-                    const std::size_t slot = vpn & (kMemoSlots - 1);
-                    if (memoEpoch[slot] == epoch &&
-                        memoVpn[slot] == vpn) {
-                        pa = memoBase[slot] | (va & Addr{0xfff});
-                    } else {
-                        pa = mech.resolve(va);
-                        memoVpn[slot] = vpn;
-                        memoBase[slot] = pa & ~Addr{0xfff};
-                        memoEpoch[slot] = epoch;
-                    }
-                } else {
-                    pa = mech.resolve(va);
-                }
+                // The data access, at the entry's carried translation
+                // (or a functional one for a non-linear entry).
+                const Addr pa = tlb.linear ? tlb.pa : mech.resolve(va);
                 caches_.access(pa);
                 if constexpr (kTrace) {
                     obs::TranslationEvent ev;
@@ -533,12 +452,12 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
                     ev.va = va;
                     ev.pa = pa;
                     ev.tlb = static_cast<std::uint8_t>(
-                        tlb == TlbHierarchy::Result::L1Hit
+                        tlb.level == TlbHierarchy::Result::L1Hit
                             ? obs::TlbLevel::L1
                             : obs::TlbLevel::Stlb);
                     ev.path = static_cast<std::uint8_t>(
                         obs::EventPath::TlbHit);
-                    ev.pageSize = static_cast<std::uint8_t>(hitSize);
+                    ev.pageSize = static_cast<std::uint8_t>(tlb.size);
                     ev.flags = measuring ? obs::kEventMeasured : 0;
                     fillTally(ev, tally);
                     sink_->emit(ev, kNoSteps);

@@ -39,6 +39,7 @@ Tlb::Tlb(const TlbConfig &config) : config_(config)
     keys_.assign(static_cast<std::size_t>(config.entries),
                  kInvalidKey);
     lastUse_.assign(static_cast<std::size_t>(config.entries), 0);
+    frames_.assign(static_cast<std::size_t>(config.entries), 0);
 }
 
 std::optional<PageSize>
@@ -170,12 +171,23 @@ Tlb::audit(AuditSink &sink, const TranslateOracle &oracle) const
             sink.fail("%s: stale entry translates unmapped va 0x%llx",
                       config_.name.c_str(),
                       static_cast<unsigned long long>(va));
-        } else {
-            DMT_AUDIT_CHECK(sink, *truth == size,
-                            "%s: entry for va 0x%llx has stale page "
-                            "size",
-                            config_.name.c_str(),
-                            static_cast<unsigned long long>(va));
+            continue;
+        }
+        DMT_AUDIT_CHECK(sink, truth->size == size,
+                        "%s: entry for va 0x%llx has stale page size",
+                        config_.name.c_str(),
+                        static_cast<unsigned long long>(va));
+        // A linear entry answers hits from its frame, so the frame
+        // must be where the page tables map the page right now.
+        if (frames_[i] & kLinear) {
+            DMT_AUDIT_CHECK(
+                sink, (frames_[i] & ~kLinear) == truth->pa,
+                "%s: entry for va 0x%llx carries frame 0x%llx but "
+                "the page tables map it at 0x%llx",
+                config_.name.c_str(),
+                static_cast<unsigned long long>(va),
+                static_cast<unsigned long long>(frames_[i] & ~kLinear),
+                static_cast<unsigned long long>(truth->pa));
         }
     }
 }
@@ -221,27 +233,6 @@ TlbHierarchy::attachAuditor(InvariantAuditor &auditor,
         l1i_.audit(sink, oracle_);
         stlb_.audit(sink, oracle_);
     });
-}
-
-TlbHierarchy::Result
-TlbHierarchy::lookupData(Addr va, PageSize *size_out)
-{
-    // Kept separate from the plain overload so the tracing-off hot
-    // path carries no extra null check. Counter behaviour must stay
-    // identical: exactly one lookup per probed level.
-    if (const auto size = l1d_.lookup(va)) {
-        if (size_out)
-            *size_out = *size;
-        return Result::L1Hit;
-    }
-    if (const auto size = stlb_.lookup(va)) {
-        l1d_.insert(va, *size);
-        DMT_AUDIT_EVENT(auditor_);
-        if (size_out)
-            *size_out = *size;
-        return Result::L2Hit;
-    }
-    return Result::Miss;
 }
 
 void

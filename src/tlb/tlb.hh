@@ -9,6 +9,13 @@
  * per-size residency count lets them skip set scans for sizes that
  * have no entries at all — a 4 KB-only run never pays for the 2 MB
  * and 1 GB probes.
+ *
+ * An entry is a cached translation, as in hardware: it carries the
+ * physical frame the walk produced, so a hit yields the VA's physical
+ * address without consulting the page tables. The frame is usable
+ * only when the entry is *linear* — its whole page maps onto one
+ * physical run (a guest 2 MB page on host 4 KB frames is not). Any
+ * page-table change must therefore shoot the affected entries down.
  */
 
 #ifndef DMT_TLB_TLB_HH
@@ -45,12 +52,21 @@ class Tlb
   public:
     explicit Tlb(const TlbConfig &config);
 
+    /** What a hit yields for the looked-up VA. */
+    struct Hit
+    {
+        PageSize size;  //!< the entry's page size
+        /** The entry maps its whole page onto one physical run. */
+        bool linear;
+        Addr pa;        //!< the VA's physical address, when linear
+    };
+
     /**
      * Probe for the page containing va at any page size.
-     * @return the hit entry's page size, or nullopt on miss.
-     *         The hit entry is promoted to MRU.
+     * @return the hit entry's size and translation, or nullopt on
+     *         miss. The hit entry is promoted to MRU.
      */
-    std::optional<PageSize> lookup(Addr va);
+    std::optional<Hit> lookup(Addr va);
 
     /**
      * Read-only probe: like lookup() but with no LRU promotion and
@@ -66,8 +82,14 @@ class Tlb
      */
     void hostPrefetch(Addr va) const;
 
-    /** Install a translation for the page of `size` containing va. */
-    void insert(Addr va, PageSize size);
+    /**
+     * Install a translation for the page of `size` containing va.
+     * `pa` is va's physical address; it is carried for the whole
+     * entry only when `linear`. Without one, hits on the entry tell
+     * the caller to translate the VA itself.
+     */
+    void insert(Addr va, PageSize size, Addr pa = 0,
+                bool linear = false);
 
     /** Invalidate the entry covering va, if any. */
     void invalidate(Addr va);
@@ -83,13 +105,20 @@ class Tlb
 
     const TlbConfig &config() const { return config_; }
 
+    /** A VA's ground-truth translation. */
+    struct Mapping
+    {
+        Addr pa;        //!< physical address of the VA's byte
+        PageSize size;  //!< page size a TLB entry may cache it at
+    };
+
     /**
      * Ground-truth translation source an audit validates entries
-     * against — typically the owning process's page table. Returns
-     * the leaf page size covering the VA, or nullopt if unmapped.
+     * against — typically the owning process's page tables. Returns
+     * the VA's translation, or nullopt if unmapped.
      */
     using TranslateOracle =
-        std::function<std::optional<PageSize>(Addr va)>;
+        std::function<std::optional<Mapping>(Addr va)>;
 
     /**
      * Audit-layer entry point: report every entry whose VPN indexes
@@ -100,8 +129,9 @@ class Tlb
      * a size that is resident), every entry a read-only probe()
      * cannot find, and — when an oracle is supplied — every entry
      * translating a page the oracle says is no longer mapped (or is
-     * mapped at a different size). Uses probe(), never lookup(), so
-     * sweeps do not perturb replacement state.
+     * mapped at a different size), and every linear entry whose
+     * frame is not where the oracle maps the page. Uses probe(),
+     * never lookup(), so sweeps do not perturb replacement state.
      */
     void audit(AuditSink &sink, const TranslateOracle &oracle) const;
 
@@ -120,6 +150,12 @@ class Tlb
      * to the lowest way.
      */
     static constexpr std::uint64_t kInvalidKey = ~0ull;
+
+    /**
+     * Tag bit of a `frames_` word marking a linear entry; frames are
+     * page-aligned, so bit 0 is free.
+     */
+    static constexpr Addr kLinear = 1;
 
     /** Index into per-size residency counters. */
     static constexpr std::size_t
@@ -156,12 +192,18 @@ class Tlb
      */
     template <int kAssoc>
     int findInTpl(std::size_t set, std::uint64_t key) const;
-    template <int kAssoc> void insertTpl(Addr va, PageSize size);
+    template <int kAssoc>
+    void insertTpl(Addr va, PageSize size, Addr frame);
 
     TlbConfig config_;
     std::size_t numSets_;
     std::vector<std::uint64_t> keys_;     //!< packed, set-major
     std::vector<std::uint64_t> lastUse_;  //!< LRU stamps, same layout
+    /**
+     * Physical base of each entry's page, or'd with kLinear when the
+     * entry is linear (same layout). Unused for non-linear entries.
+     */
+    std::vector<Addr> frames_;
     /**
      * Valid entries per page size. lookup()/probe()/invalidate()
      * skip the set scan for any size with zero residents, so a
@@ -204,7 +246,7 @@ Tlb::findIn(std::size_t set, std::uint64_t key) const
     }
 }
 
-inline std::optional<PageSize>
+inline std::optional<Tlb::Hit>
 Tlb::lookup(Addr va)
 {
     ++tick_;
@@ -216,9 +258,13 @@ Tlb::lookup(Addr va)
         const std::size_t set = setIndex(vpn);
         const int way = findIn(set, keyOf(vpn, size));
         if (way >= 0) {
-            lastUse_[set * config_.associativity + way] = tick_;
+            const std::size_t idx = set * config_.associativity + way;
+            lastUse_[idx] = tick_;
             ++hits_;
-            return size;
+            const Addr frame = frames_[idx];
+            return Hit{size, (frame & kLinear) != 0,
+                       (frame & ~kLinear) |
+                           (va & (pageBytesOf(size) - 1))};
         }
     }
     ++misses_;
@@ -227,7 +273,7 @@ Tlb::lookup(Addr va)
 
 template <int kAssoc>
 void
-Tlb::insertTpl(Addr va, PageSize size)
+Tlb::insertTpl(Addr va, PageSize size, Addr frame)
 {
     const int assoc = kAssoc ? kAssoc : config_.associativity;
     ++tick_;
@@ -237,6 +283,7 @@ Tlb::insertTpl(Addr va, PageSize size)
     if (const int way = findInTpl<kAssoc>(set, keyOf(vpn, size));
         way >= 0) {
         lastUse_[base + way] = tick_;
+        frames_[base + way] = frame;
         return;
     }
     // First-minimum scan of the stamps: invalid ways sit at 0, below
@@ -250,22 +297,25 @@ Tlb::insertTpl(Addr va, PageSize size)
     ++sizeCount_[sizeSlot(size)];
     keys_[victim] = keyOf(vpn, size);
     lastUse_[victim] = tick_;
+    frames_[victim] = frame;
 }
 
 inline void
-Tlb::insert(Addr va, PageSize size)
+Tlb::insert(Addr va, PageSize size, Addr pa, bool linear)
 {
+    const Addr frame =
+        linear ? pageAlignDown(pa, size) | kLinear : Addr{0};
     switch (config_.associativity) {
       case 4:
-        return insertTpl<4>(va, size);
+        return insertTpl<4>(va, size, frame);
       case 8:
-        return insertTpl<8>(va, size);
+        return insertTpl<8>(va, size, frame);
       case 12:
-        return insertTpl<12>(va, size);
+        return insertTpl<12>(va, size, frame);
       case 16:
-        return insertTpl<16>(va, size);
+        return insertTpl<16>(va, size, frame);
       default:
-        return insertTpl<0>(va, size);
+        return insertTpl<0>(va, size, frame);
     }
 }
 
@@ -284,22 +334,32 @@ class TlbHierarchy
         Miss,
     };
 
+    /** What one data-side lookup found. */
+    struct Lookup
+    {
+        Result level = Result::Miss;
+        PageSize size = PageSize::Size4K;  //!< the hit entry's size
+        /** The hit entry is linear, so `pa` is the VA's translation. */
+        bool linear = false;
+        Addr pa = 0;
+    };
+
     TlbHierarchy();
     TlbHierarchy(const TlbConfig &l1d, const TlbConfig &l1i,
                  const TlbConfig &stlb);
 
-    /** Probe L1D then the STLB. An STLB hit refills the L1D. */
-    Result lookupData(Addr va);
+    /**
+     * Probe L1D then the STLB. An STLB hit refills the L1D with the
+     * entry's size and translation.
+     */
+    Lookup lookupData(Addr va);
 
     /**
-     * Like lookupData(), but also reports the hit entry's page size
-     * through `size_out` (untouched on a full miss; may be null).
-     * Used by the event tracer to annotate TLB-hit events.
+     * Install a completed walk into L1D and STLB: the page of `size`
+     * containing va, translated to `pa`, carried for the whole entry
+     * only when `linear` (WalkRecord::linear()).
      */
-    Result lookupData(Addr va, PageSize *size_out);
-
-    /** Install a completed translation into L1D and STLB. */
-    void insertData(Addr va, PageSize size);
+    void insertData(Addr va, PageSize size, Addr pa, bool linear);
 
     /**
      * Read-only screen: would lookupData(va) hit either level right
@@ -351,24 +411,24 @@ class TlbHierarchy
     int auditHookId_ = 0;
 };
 
-inline TlbHierarchy::Result
+inline TlbHierarchy::Lookup
 TlbHierarchy::lookupData(Addr va)
 {
-    if (l1d_.lookup(va))
-        return Result::L1Hit;
-    if (const auto size = stlb_.lookup(va)) {
-        l1d_.insert(va, *size);
+    if (const auto hit = l1d_.lookup(va))
+        return {Result::L1Hit, hit->size, hit->linear, hit->pa};
+    if (const auto hit = stlb_.lookup(va)) {
+        l1d_.insert(va, hit->size, hit->pa, hit->linear);
         DMT_AUDIT_EVENT(auditor_);
-        return Result::L2Hit;
+        return {Result::L2Hit, hit->size, hit->linear, hit->pa};
     }
-    return Result::Miss;
+    return {};
 }
 
 inline void
-TlbHierarchy::insertData(Addr va, PageSize size)
+TlbHierarchy::insertData(Addr va, PageSize size, Addr pa, bool linear)
 {
-    l1d_.insert(va, size);
-    stlb_.insert(va, size);
+    l1d_.insert(va, size, pa, linear);
+    stlb_.insert(va, size, pa, linear);
     DMT_AUDIT_EVENT(auditor_);
 }
 

@@ -12,6 +12,8 @@ NestedStack::NestedStack(Memory &l0_mem, BuddyAllocator &l0_alloc,
 {
     DMT_ASSERT(config.l2Bytes <= config.l1Bytes,
                "L2 memory cannot exceed L1 memory");
+    DMT_ASSERT((config.l2paBaseL1va & (gigaPageSize - 1)) == 0,
+               "L2-physical space must sit at a 1 GB-aligned L1 VA");
 
     // L1 VM on L0.
     VmConfig vm1Cfg;

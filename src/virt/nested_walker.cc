@@ -1,5 +1,7 @@
 #include "virt/nested_walker.hh"
 
+#include <algorithm>
+
 #include "check/audit.hh"
 #include "common/log.hh"
 
@@ -17,6 +19,9 @@ NestedWalker::NestedWalker(const RadixPageTable &guest_pt,
       guestPwc_(pwc_config), nestedPwc_(pwc_config),
       name_(std::move(name))
 {
+    DMT_ASSERT((gpaToHva_.baseHva & (gigaPageSize - 1)) == 0,
+               "guest-physical space must sit at a 1 GB-aligned "
+               "host VA");
 }
 
 NestedWalker::~NestedWalker()
@@ -58,7 +63,7 @@ NestedWalker::attachAuditor(InvariantAuditor &auditor,
 }
 
 Addr
-NestedWalker::hostWalk(Addr gpa, WalkRecord &rec)
+NestedWalker::hostWalk(Addr gpa, WalkRecord &rec, PageSize *leaf_size)
 {
     const Addr hva = gpaToHva_(gpa);
     const auto path = hostPt_.walkPath(hva);
@@ -97,6 +102,8 @@ NestedWalker::hostWalk(Addr gpa, WalkRecord &rec)
         size = PageSize::Size2M;
     else if (leaf.level == 3)
         size = PageSize::Size1G;
+    if (leaf_size)
+        *leaf_size = size;
     const Addr offset = hva & (pageBytesOf(size) - 1);
     return (ptePfn(leaf.pte) << pageShift) + offset;
 }
@@ -159,9 +166,14 @@ NestedWalker::walk(Addr gva)
     const Addr dataGpa = (ptePfn(gleaf.pte) << pageShift) +
                          (gva & (pageBytesOf(gsize) - 1));
     slotBase_ = 20;
-    rec.pa = hostWalk(dataGpa, rec);
+    PageSize hsize = PageSize::Size4K;
+    rec.pa = hostWalk(dataGpa, rec, &hsize);
     slotBase_ = -1;
     rec.size = gsize;
+    // The guest page is one physical run only as far as the host
+    // leaf backing it reaches (guest-physical space sits at a
+    // 1 GB-aligned host offset, so the leaves nest).
+    rec.linearSize = std::min(gsize, hsize);
     return rec;
 }
 

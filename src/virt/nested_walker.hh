@@ -101,10 +101,12 @@ class NestedWalker : public TranslationMechanism
 
     /**
      * Walk the host dimension for one guest-physical address,
-     * charging every reference into `rec`.
+     * charging every reference into `rec`. The host leaf size is
+     * stored through `leaf_size` when it is non-null.
      * @return the host-physical address backing gpa
      */
-    Addr hostWalk(Addr gpa, WalkRecord &rec);
+    Addr hostWalk(Addr gpa, WalkRecord &rec,
+                  PageSize *leaf_size = nullptr);
 
   private:
     const RadixPageTable &guestPt_;

@@ -12,6 +12,11 @@ VirtualMachine::VirtualMachine(Memory &host_mem,
 {
     DMT_ASSERT((config.vmBytes & pageMask) == 0,
                "VM size must be page aligned");
+    // Guest and host leaves must nest for a TLB entry to carry a
+    // 2-D translation (WalkRecord::linearSize).
+    DMT_ASSERT((config.gpaBaseHva & (gigaPageSize - 1)) == 0,
+               "guest-physical space must sit at a 1 GB-aligned "
+               "host VA");
 
     // The container process: one VMA covering all of guest physical
     // memory, populated eagerly (performance VMs pin their memory).

@@ -4,7 +4,8 @@
  * (sweeps, intervals, pauses, unregistration), silence on a clean
  * machine, and — the point of the exercise — detection of each
  * deliberately injected corruption: a scribbled TEA-backed table
- * pointer, a buddy double free, and a stale TLB entry.
+ * pointer, a buddy double free, a stale TLB entry, a TLB entry whose
+ * carried frame went stale, and broken cache-set recency order.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "check/invariant_auditor.hh"
 #include "core/mapping_manager.hh"
 #include "core/tea_manager.hh"
+#include "mem/cache.hh"
 #include "mem/physical_memory.hh"
 #include "os/address_space.hh"
 #include "pt/pte.hh"
@@ -24,13 +26,20 @@ namespace dmt
 {
 
 /**
- * Corruption-injection backdoor (befriended by BuddyAllocator):
- * plants an allocated block on a free list exactly as a double
- * free would, bypassing the allocator's own guards.
+ * Corruption-injection backdoor (befriended by BuddyAllocator and
+ * Cache): plants an allocated block on a free list exactly as a
+ * double free would, and overwrites raw cache ways, bypassing the
+ * structures' own guards.
  */
 class AuditCorruptor
 {
   public:
+    static Addr &
+    cacheWay(Cache &cache, std::size_t set, int way)
+    {
+        return cache.tags_[set * cache.config().associativity + way];
+    }
+
     static void
     injectFreeBlock(BuddyAllocator &alloc, Pfn base, int order)
     {
@@ -143,11 +152,11 @@ TEST_F(AuditFixture, CleanMachineSweepsSilently)
     TlbHierarchy tlbs;
     tlbs.attachAuditor(
         auditor,
-        [&](Addr va) -> std::optional<PageSize> {
+        [&](Addr va) -> std::optional<Tlb::Mapping> {
             const auto tr = proc.pageTable().translate(va);
             if (!tr)
                 return std::nullopt;
-            return tr->size;
+            return Tlb::Mapping{tr->pa, tr->size};
         },
         "tlb");
 
@@ -160,7 +169,7 @@ TEST_F(AuditFixture, CleanMachineSweepsSilently)
                 VmaKind::Heap);
     for (Addr va = 0x40000000;
          va < 0x40000000 + 4 * hugePageSize; va += pageSize * 61) {
-        tlbs.insertData(pageAlignDown(va), PageSize::Size4K);
+        tlbs.insertData(pageAlignDown(va), PageSize::Size4K, 0, false);
     }
     EXPECT_EQ(auditor.sweep(), 0u);
 
@@ -248,17 +257,17 @@ TEST_F(AuditFixture, StaleTlbEntryIsDetected)
     TlbHierarchy tlbs;
     tlbs.attachAuditor(
         auditor,
-        [&](Addr va) -> std::optional<PageSize> {
+        [&](Addr va) -> std::optional<Tlb::Mapping> {
             const auto tr = proc.pageTable().translate(va);
             if (!tr)
                 return std::nullopt;
-            return tr->size;
+            return Tlb::Mapping{tr->pa, tr->size};
         },
         "tlb");
 
     const Addr va = 0x50000000;
     proc.mmapAt(va, hugePageSize, VmaKind::Heap);
-    tlbs.insertData(va, PageSize::Size4K);
+    tlbs.insertData(va, PageSize::Size4K, 0, false);
     EXPECT_EQ(auditor.sweep(), 0u);
 
     // Unmap without a TLB shootdown: the cached translation now
@@ -270,6 +279,94 @@ TEST_F(AuditFixture, StaleTlbEntryIsDetected)
     tlbs.flush();
     auditor.clearViolations();
     EXPECT_EQ(auditor.sweep(), 0u);
+}
+
+TEST_F(AuditFixture, RemappedTlbFrameIsDetected)
+{
+    TlbHierarchy tlbs;
+    tlbs.attachAuditor(
+        auditor,
+        [&](Addr va) -> std::optional<Tlb::Mapping> {
+            const auto tr = proc.pageTable().translate(va);
+            if (!tr)
+                return std::nullopt;
+            return Tlb::Mapping{tr->pa, tr->size};
+        },
+        "tlb");
+
+    const Addr va = 0x50000000;
+    proc.mmapAt(va, hugePageSize, VmaKind::Heap);
+    const auto tr = proc.pageTable().translate(va + 0x123);
+    ASSERT_TRUE(tr.has_value());
+    tlbs.insertData(va + 0x123, tr->size, tr->pa, /*linear=*/true);
+    EXPECT_EQ(auditor.sweep(), 0u);
+
+    // Remap the page to another frame at the same size without a
+    // shootdown: the entry still has the right size, but hits would
+    // be charged at the old frame.
+    const WalkStep leaf = proc.pageTable().walkPath(va).back();
+    const auto stray = alloc.allocPages(0, FrameKind::Movable);
+    ASSERT_TRUE(stray.has_value());
+    mem.write64(leaf.pteAddr, (leaf.pte & ~pteFrameMask) |
+                                  (static_cast<std::uint64_t>(*stray)
+                                   << pageShift));
+    EXPECT_GT(auditor.sweep(), 0u);
+    const auto &violations = auditor.violations();
+    EXPECT_TRUE(std::any_of(
+        violations.begin(), violations.end(),
+        [](const AuditViolation &v) {
+            return v.checker == "tlb" &&
+                   v.detail.find("carries frame") != std::string::npos;
+        }));
+
+    // The shootdown the remap skipped restores coherence.
+    tlbs.flush();
+    auditor.clearViolations();
+    EXPECT_EQ(auditor.sweep(), 0u);
+    mem.write64(leaf.pteAddr, leaf.pte);
+    alloc.freePages(*stray, 0);
+    proc.munmap(va);
+}
+
+TEST(CacheAudit, BrokenRecencyOrderIsDetected)
+{
+    InvariantAuditor auditor;
+    Cache cache({"c", 2 * 4 * 64, 4, 64, 1});  // 2 sets x 4 ways
+    auditor.registerHook("cache",
+                         [&](AuditSink &sink) { cache.audit(sink); });
+    // Set 0 holds lines 0x000 and 0x080 (MRU first); set 1 holds
+    // 0x040; every other way is invalid.
+    cache.insert(0x000);
+    cache.insert(0x080);
+    cache.insert(0x040);
+    ASSERT_EQ(AuditCorruptor::cacheWay(cache, 0, 0), Addr{0x080 >> 6});
+    EXPECT_EQ(auditor.sweep(), 0u);
+
+    // Each corruption must be reported by its own check, and the
+    // set must audit clean again once healed.
+    auto expectCaught = [&](std::size_t set, int way, Addr tag,
+                            const char *detail) {
+        Addr &slot = AuditCorruptor::cacheWay(cache, set, way);
+        const Addr good = slot;
+        slot = tag;
+        EXPECT_GT(auditor.sweep(), 0u) << detail;
+        const auto &violations = auditor.violations();
+        EXPECT_TRUE(std::any_of(
+            violations.begin(), violations.end(),
+            [&](const AuditViolation &v) {
+                return v.detail.find(detail) != std::string::npos;
+            }))
+            << detail;
+        slot = good;
+        auditor.clearViolations();
+        EXPECT_EQ(auditor.sweep(), 0u) << detail;
+    };
+    // An invalid MRU way ahead of a live line.
+    expectCaught(0, 0, invalidAddr, "follows an invalid way");
+    // Line 0x080 resident twice in set 0.
+    expectCaught(0, 2, 0x080 >> 6, "resident twice");
+    // Set 1's line planted in set 0.
+    expectCaught(0, 2, 0x040 >> 6, "indexes to set");
 }
 
 } // namespace

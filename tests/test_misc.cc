@@ -61,7 +61,7 @@ TEST(ContextSwitch, FlushesClearTranslationState)
         const Addr va = trace->next();
         tb.tlbs().lookupData(va);
         const WalkRecord rec = mech.walk(va);
-        tb.tlbs().insertData(va, rec.size);
+        tb.tlbs().insertData(va, rec.size, rec.pa, rec.linear());
     }
     EXPECT_GT(tb.tlbs().l1d().hits() + tb.tlbs().stlb().hits(), 0u);
     // Context switch: TLBs and walker-private state flush; the DMT
@@ -70,7 +70,8 @@ TEST(ContextSwitch, FlushesClearTranslationState)
     tb.tlbs().flush();
     mech.flush();
     const Addr va = trace->next();
-    EXPECT_EQ(tb.tlbs().lookupData(va), TlbHierarchy::Result::Miss);
+    EXPECT_EQ(tb.tlbs().lookupData(va).level,
+              TlbHierarchy::Result::Miss);
     EXPECT_EQ(mech.walk(va).pa, mech.resolve(va));
 }
 

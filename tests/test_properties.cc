@@ -3,7 +3,8 @@
  * Additional property suites: VMA-change accommodation (§4.2.3),
  * span populate against per-page touch(), directProbe
  * micro-behaviour, buddy order sweeps, TLB/cache
- * geometry sweeps, EPT huge pages in the nested walker, and
+ * geometry sweeps, the recency-ordered cache in lockstep with a
+ * stamp-LRU model, EPT huge pages in the nested walker, and
  * calibration sanity against the paper's reported averages.
  */
 
@@ -24,6 +25,8 @@
 #include "core/dmt_fetcher.hh"
 #include "core/mapping_manager.hh"
 #include "host/register_file.hh"
+#include "mem/cache.hh"
+#include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
 #include "os/fragmenter.hh"
 #include "sim/testbed.hh"
@@ -594,6 +597,229 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{Addr{32 * 1024}, 8},
                       std::pair{Addr{64 * 1024}, 16},
                       std::pair{Addr{1408 * 1024}, 11}));
+
+// ------------------------------ recency-ordered cache vs stamp LRU
+
+/**
+ * Executable restatement of the stamp-based true-LRU cache the
+ * recency-ordered Cache replaced, evolved in lockstep with it under
+ * random schedules: a clock ticks on every access()/insert(), a hit
+ * or fill stamps its way, invalid ways sit at stamp 0, and the
+ * victim is the first way holding the minimum stamp — the first
+ * invalid way if any, else the least recently used line.
+ */
+struct StampLruCacheModel
+{
+    StampLruCacheModel(Addr size_bytes, int ways)
+        : assoc(ways),
+          sets(static_cast<std::size_t>(size_bytes / 64 / ways)),
+          tags(sets * ways, invalidAddr), lastUse(sets * ways, 0)
+    {
+    }
+
+    int assoc;
+    std::size_t sets;
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> lastUse;
+    std::uint64_t tick = 0;
+    Counter hits = 0;
+    Counter misses = 0;
+
+    std::size_t base(Addr addr) const
+    {
+        return ((addr >> 6) & (sets - 1)) * assoc;
+    }
+
+    /** @return the absolute way index holding addr's line, or -1. */
+    long
+    find(Addr addr) const
+    {
+        for (int w = 0; w < assoc; ++w) {
+            if (tags[base(addr) + w] == addr >> 6)
+                return static_cast<long>(base(addr) + w);
+        }
+        return -1;
+    }
+
+    bool
+    access(Addr addr)
+    {
+        ++tick;
+        if (const long way = find(addr); way >= 0) {
+            lastUse[way] = tick;
+            ++hits;
+            return true;
+        }
+        ++misses;
+        return false;
+    }
+
+    void
+    insert(Addr addr)
+    {
+        ++tick;
+        if (const long way = find(addr); way >= 0) {
+            lastUse[way] = tick;
+            return;
+        }
+        std::size_t victim = base(addr);
+        for (int w = 1; w < assoc; ++w) {
+            if (lastUse[base(addr) + w] < lastUse[victim])
+                victim = base(addr) + w;
+        }
+        tags[victim] = addr >> 6;
+        lastUse[victim] = tick;
+    }
+
+    bool
+    accessFill(Addr addr)
+    {
+        if (access(addr))
+            return true;
+        insert(addr);
+        return false;
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        if (const long way = find(addr); way >= 0) {
+            tags[way] = invalidAddr;
+            lastUse[way] = 0;
+        }
+    }
+
+    bool probe(Addr addr) const { return find(addr) >= 0; }
+
+    void
+    flush()
+    {
+        std::fill(tags.begin(), tags.end(), invalidAddr);
+        std::fill(lastUse.begin(), lastUse.end(), 0);
+    }
+};
+
+class CacheLockstep : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CacheLockstep, RandomScheduleMatchesStampLru)
+{
+    const int assoc = GetParam();
+    const Addr size = Addr{4} * static_cast<Addr>(assoc) * 64;  // 4 sets
+    Cache cache({"t", size, assoc, 64, 1});
+    StampLruCacheModel model(size, assoc);
+    InvariantAuditor auditor;
+    const int hookId = auditor.registerHook(
+        "test:cache", [&cache](AuditSink &sink) { cache.audit(sink); });
+
+    // Twice as many distinct lines per set as ways, so sets fill,
+    // evict and re-reference.
+    const Addr lines = 4 * 2 * static_cast<Addr>(assoc);
+    Rng rng(0xCAC4E000u + static_cast<std::uint64_t>(assoc));
+    for (int op = 0; op < 20'000; ++op) {
+        const Addr addr = rng.below(lines) * 64 + rng.below(64);
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 35) {
+            ASSERT_EQ(cache.access(addr), model.access(addr))
+                << "op " << op;
+        } else if (kind < 70) {
+            ASSERT_EQ(cache.accessFill(addr), model.accessFill(addr))
+                << "op " << op;
+        } else if (kind < 85) {
+            cache.insert(addr);
+            model.insert(addr);
+        } else if (kind < 93) {
+            cache.invalidate(addr);
+            model.invalidate(addr);
+        } else if (kind < 99) {
+            ASSERT_EQ(cache.probe(addr), model.probe(addr))
+                << "op " << op;
+        } else {
+            cache.flush();
+            model.flush();
+        }
+        ASSERT_EQ(cache.hits(), model.hits) << "op " << op;
+        ASSERT_EQ(cache.misses(), model.misses) << "op " << op;
+        if (op % 997 == 0) {
+            for (Addr l = 0; l < lines; ++l)
+                ASSERT_EQ(cache.probe(l * 64), model.probe(l * 64))
+                    << "op " << op << " line " << l;
+        }
+    }
+    EXPECT_EQ(auditor.sweep(), 0u);
+    auditor.unregisterHook(hookId);
+}
+
+// 4, 8, 11, 12 and 16 take the compile-time-bound arms; 6 and 2 the
+// generic one.
+INSTANTIATE_TEST_SUITE_P(Associativities, CacheLockstep,
+                         ::testing::Values(4, 8, 11, 12, 16, 6, 2));
+
+TEST(CacheLockstep, HierarchyMatchesStampLruLevels)
+{
+    HierarchyConfig cfg;
+    cfg.l1d = {"l1d", 4 * 8 * 64, 8, 64, 4};
+    cfg.l2 = {"l2", 8 * 16 * 64, 16, 64, 14};
+    cfg.llc = {"llc", 16 * 11 * 64, 11, 64, 54};
+    MemoryHierarchy mh(cfg);
+    StampLruCacheModel l1(cfg.l1d.sizeBytes, 8);
+    StampLruCacheModel l2(cfg.l2.sizeBytes, 16);
+    StampLruCacheModel llc(cfg.llc.sizeBytes, 11);
+    Counter memAccesses = 0;
+
+    // The hierarchy's cascades, restated over the model levels.
+    auto access = [&](Addr pa) -> Cycles {
+        if (l1.accessFill(pa))
+            return cfg.l1d.roundTrip;
+        if (l2.accessFill(pa))
+            return cfg.l2.roundTrip;
+        if (llc.accessFill(pa))
+            return cfg.llc.roundTrip;
+        ++memAccesses;
+        return cfg.memoryRoundTrip;
+    };
+    auto accessClean = [&](Addr pa) -> Cycles {
+        if (l1.access(pa))
+            return cfg.l1d.roundTrip;
+        if (l2.access(pa))
+            return cfg.l2.roundTrip;
+        if (llc.access(pa))
+            return cfg.llc.roundTrip;
+        ++memAccesses;
+        return cfg.memoryRoundTrip;
+    };
+
+    // Enough lines to overflow the LLC, so every level evicts.
+    const Addr lines = 2 * cfg.llc.sizeBytes / 64;
+    Rng rng(0x41E2A2C1u);
+    for (int op = 0; op < 40'000; ++op) {
+        const Addr pa = rng.below(lines) * 64;
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 70) {
+            ASSERT_EQ(mh.access(pa), access(pa)) << "op " << op;
+        } else if (kind < 85) {
+            ASSERT_EQ(mh.accessClean(pa), accessClean(pa))
+                << "op " << op;
+        } else if (kind < 95) {
+            mh.prefetch(pa);
+            llc.accessFill(pa);
+            l2.accessFill(pa);
+        } else {
+            mh.invalidate(pa);
+            l1.invalidate(pa);
+            l2.invalidate(pa);
+            llc.invalidate(pa);
+        }
+        ASSERT_EQ(mh.l1d().hits(), l1.hits) << "op " << op;
+        ASSERT_EQ(mh.l1d().misses(), l1.misses) << "op " << op;
+        ASSERT_EQ(mh.l2().hits(), l2.hits) << "op " << op;
+        ASSERT_EQ(mh.l2().misses(), l2.misses) << "op " << op;
+        ASSERT_EQ(mh.llc().hits(), llc.hits) << "op " << op;
+        ASSERT_EQ(mh.llc().misses(), llc.misses) << "op " << op;
+        ASSERT_EQ(mh.memoryAccesses(), memAccesses) << "op " << op;
+    }
+}
 
 // --------------------------------------------------- EPT huge pages
 

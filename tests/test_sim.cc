@@ -1,15 +1,30 @@
 /**
  * @file
- * Tests for the simulation layer: the translation simulator, the §5
- * execution-time model, structure scaling, and workload properties
- * (footprints, VMA geometry, trace containment, determinism).
+ * Tests for the simulation layer: the translation simulator (including
+ * the address every TLB hit charges), the §5 execution-time model,
+ * structure scaling, and workload properties (footprints, VMA
+ * geometry, trace containment, determinism).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
+#include "driver/campaign.hh"
+#include "mem/physical_memory.hh"
+#include "obs/event.hh"
+#include "os/buddy_allocator.hh"
+#include "os/fragmenter.hh"
 #include "sim/exec_model.hh"
 #include "sim/testbed.hh"
 #include "sim/translation_sim.hh"
+#include "virt/nested_walker.hh"
+#include "virt/virtual_machine.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -123,6 +138,183 @@ TEST(Simulator, DeterministicAcrossRuns)
     EXPECT_EQ(a.walks, b.walks);
     EXPECT_DOUBLE_EQ(a.walkCycles, b.walkCycles);
     EXPECT_EQ(a.seqRefs, b.seqRefs);
+}
+
+// ------------------------- TLB hits charge the translated address
+
+/** Keeps the (va, pa) of every TLB-hit event of a traced session. */
+class TlbHitRecorder : public obs::EventSink
+{
+  public:
+    void
+    emit(const obs::TranslationEvent &event,
+         const std::vector<WalkStepCost> &) override
+    {
+        if (event.path ==
+            static_cast<std::uint8_t>(obs::EventPath::TlbHit)) {
+            hits.emplace_back(event.va, event.pa);
+            hugeHits += event.pageSize != 0 ? 1 : 0;
+        }
+    }
+
+    std::vector<std::pair<Addr, Addr>> hits;
+    std::uint64_t hugeHits = 0;
+};
+
+/**
+ * Trace a session and require every TLB hit to have charged its data
+ * access at mech.resolve(va) — the address the page tables give,
+ * whether the hit took the entry's carried frame or resolved.
+ * @return the recorder, for callers asserting what was exercised.
+ */
+TlbHitRecorder
+expectHitsAtResolvedPa(TranslationMechanism &mech, TlbHierarchy &tlbs,
+                       MemoryHierarchy &caches, TraceSource &trace,
+                       const std::string &what)
+{
+    TlbHitRecorder recorder;
+    TranslationSimulator sim(mech, tlbs, caches);
+    sim.setEventSink(&recorder);
+    SimConfig cfg;
+    cfg.warmupAccesses = 2'000;
+    cfg.measureAccesses = 10'000;
+    sim.run(trace, cfg);
+    sim.setEventSink(nullptr);
+    EXPECT_FALSE(recorder.hits.empty()) << what;
+    for (const auto &[va, pa] : recorder.hits) {
+        const Addr truth = mech.resolve(va);
+        if (pa != truth) {
+            ADD_FAILURE() << what << ": TLB hit on va 0x" << std::hex
+                          << va << " charged pa 0x" << pa
+                          << ", page tables give 0x" << truth;
+            break;
+        }
+    }
+    return recorder;
+}
+
+/** Set up, build and check one cell on an attached testbed. */
+template <class Testbed>
+void
+expectCellHitsAtResolvedPa(Testbed &tb, Design design, Workload &wl,
+                           const std::string &what)
+{
+    wl.setup(tb.proc());
+    TranslationMechanism &mech = tb.build(design);
+    auto trace = wl.trace(77);
+    expectHitsAtResolvedPa(mech, tb.tlbs(), tb.caches(), *trace, what);
+}
+
+class TlbHitTranslation
+    : public ::testing::TestWithParam<
+          std::tuple<driver::CampaignEnv, ThpMode>>
+{
+};
+
+TEST_P(TlbHitTranslation, EveryDesignChargesTheResolvedAddress)
+{
+    const auto [env, thp] = GetParam();
+    constexpr double kScale = 1.0 / 256.0;
+    for (const Design design : driver::validDesigns(env)) {
+        auto wl = makeWorkload("GUPS", kScale);
+        const TestbedConfig cfg = scaledTestbedConfig(kScale, thp);
+        const std::string what =
+            driver::envId(env) + "/" + driver::designId(design) +
+            (thp == ThpMode::Always ? "/thp" : "/4k");
+        switch (env) {
+          case driver::CampaignEnv::Native: {
+            NativeTestbed tb(wl->footprintBytes(), cfg);
+            if (design == Design::Dmt)
+                tb.attachDmt();
+            expectCellHitsAtResolvedPa(tb, design, *wl, what);
+            break;
+          }
+          case driver::CampaignEnv::Virt: {
+            VirtTestbed tb(wl->footprintBytes(), cfg);
+            if (design == Design::Dmt || design == Design::PvDmt)
+                tb.attachDmt(design == Design::PvDmt);
+            expectCellHitsAtResolvedPa(tb, design, *wl, what);
+            break;
+          }
+          case driver::CampaignEnv::Nested: {
+            NestedTestbed tb(wl->footprintBytes(), cfg);
+            if (design == Design::PvDmt)
+                tb.attachPvDmt();
+            expectCellHitsAtResolvedPa(tb, design, *wl, what);
+            break;
+          }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnvsAndPageModes, TlbHitTranslation,
+    ::testing::Combine(::testing::Values(driver::CampaignEnv::Native,
+                                         driver::CampaignEnv::Virt,
+                                         driver::CampaignEnv::Nested),
+                       ::testing::Values(ThpMode::Never,
+                                         ThpMode::Always)),
+    [](const auto &param) {
+        return driver::envId(std::get<0>(param.param)) +
+               (std::get<1>(param.param) == ThpMode::Always ? "_thp"
+                                                            : "_4k");
+    });
+
+/** Uniform line-granular accesses over [base, base + bytes). */
+class UniformTrace : public TraceSource
+{
+  public:
+    UniformTrace(Addr base, Addr bytes, std::uint64_t seed)
+        : base_(base), lines_(bytes / 64), rng_(seed)
+    {
+    }
+
+    Addr next() override { return base_ + rng_.below(lines_) * 64; }
+
+  private:
+    Addr base_;
+    Addr lines_;
+    Rng rng_;
+};
+
+TEST(TlbHitTranslation, GuestHugePagesOnHostSmallFramesResolve)
+{
+    // Guest 2 MB pages on host 4 KB frames scattered by a fragmented
+    // host allocator: the TLB caches 2 MB entries whose backing is
+    // not one physical run, so a hit must not offset the walked
+    // frame across the entry.
+    PhysicalMemory hostMem(Addr{1} << 30);
+    BuddyAllocator hostAlloc((Addr{1} << 30) >> pageShift);
+    Fragmenter fragmenter(hostAlloc);
+    fragmenter.fragment(0.5);
+    VmConfig vmCfg;
+    vmCfg.vmBytes = Addr{64} << 20;
+    vmCfg.guestThp = ThpMode::Always;
+    vmCfg.hostThp = ThpMode::Never;
+    VirtualMachine vm(hostMem, hostAlloc, vmCfg);
+    const Addr base = Addr{1} << 30;
+    const Addr bytes = 8 * hugePageSize;
+    vm.guestSpace().mmapAt(base, bytes, VmaKind::Heap);
+    ASSERT_EQ(vm.guestSpace().pageTable().translate(base)->size,
+              PageSize::Size2M);
+    MemoryHierarchy caches;
+    TlbHierarchy tlbs;
+    NestedWalker walker(vm.guestSpace().pageTable(),
+                        vm.containerSpace().pageTable(),
+                        NestedWalker::GpaToHostVa{vm.gpaToHva(0)},
+                        caches);
+    // The fixture really is non-linear: some 4 KB step inside a
+    // guest 2 MB page is not a 4 KB step in host-physical space.
+    bool scattered = false;
+    for (Addr va = base; va + pageSize < base + bytes; va += pageSize)
+        scattered |= walker.resolve(va + pageSize) !=
+                     walker.resolve(va) + pageSize;
+    ASSERT_TRUE(scattered);
+
+    UniformTrace trace(base, bytes, 5);
+    const TlbHitRecorder recorder = expectHitsAtResolvedPa(
+        walker, tlbs, caches, trace, "virt/nested guest-2M host-4K");
+    EXPECT_GT(recorder.hugeHits, 0u);
 }
 
 TEST(Workloads, FootprintsScaleWithTheirPaperSizes)

@@ -20,7 +20,7 @@ TEST(Tlb, HitAfterInsert)
     tlb.insert(0x1234000, PageSize::Size4K);
     const auto hit = tlb.lookup(0x1234567);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, PageSize::Size4K);
+    EXPECT_EQ(hit->size, PageSize::Size4K);
 }
 
 TEST(Tlb, HugeEntryCoversWholePage)
@@ -90,15 +90,54 @@ TEST(Tlb, ProbeSeesAllPageSizes)
     EXPECT_FALSE(tlb.probe(0x1000).has_value());
 }
 
+TEST(Tlb, LinearEntryCarriesItsTranslation)
+{
+    Tlb tlb({"t", 64, 4});
+    // A 2 MB entry walked at one VA answers every VA of its page.
+    tlb.insert(0x40012345, PageSize::Size2M, 0x80012345, true);
+    const auto hit = tlb.lookup(0x401fffff);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->size, PageSize::Size2M);
+    EXPECT_TRUE(hit->linear);
+    EXPECT_EQ(hit->pa, Addr{0x801fffff});
+    // A non-linear entry hits but leaves the translation to the
+    // caller.
+    tlb.insert(0x80000000, PageSize::Size2M, 0x12345000, false);
+    const auto nonLinear = tlb.lookup(0x80001000);
+    ASSERT_TRUE(nonLinear.has_value());
+    EXPECT_FALSE(nonLinear->linear);
+    // Re-inserting a resident entry replaces its translation.
+    tlb.insert(0x40000000, PageSize::Size2M, 0xc0000000, true);
+    EXPECT_EQ(tlb.lookup(0x40000010)->pa, Addr{0xc0000010});
+}
+
+TEST(TlbHierarchy, StlbRefillCarriesTheTranslation)
+{
+    TlbHierarchy tlbs;
+    tlbs.stlb().insert(0x7000, PageSize::Size4K, 0x3000, true);
+    const TlbHierarchy::Lookup l2 = tlbs.lookupData(0x7abc);
+    EXPECT_EQ(l2.level, TlbHierarchy::Result::L2Hit);
+    EXPECT_TRUE(l2.linear);
+    EXPECT_EQ(l2.pa, Addr{0x3abc});
+    const TlbHierarchy::Lookup l1 = tlbs.lookupData(0x7def);
+    EXPECT_EQ(l1.level, TlbHierarchy::Result::L1Hit);
+    EXPECT_TRUE(l1.linear);
+    EXPECT_EQ(l1.pa, Addr{0x3def});
+    EXPECT_EQ(tlbs.lookupData(0x9000).level,
+              TlbHierarchy::Result::Miss);
+}
+
 TEST(TlbHierarchy, StlbHitRefillsL1)
 {
     TlbHierarchy tlbs;
-    tlbs.insertData(0x5000, PageSize::Size4K);
+    tlbs.insertData(0x5000, PageSize::Size4K, 0, false);
     tlbs.flush();
     tlbs.stlb().insert(0x5000, PageSize::Size4K);
-    EXPECT_EQ(tlbs.lookupData(0x5000), TlbHierarchy::Result::L2Hit);
+    EXPECT_EQ(tlbs.lookupData(0x5000).level,
+              TlbHierarchy::Result::L2Hit);
     // Refilled: next lookup hits L1.
-    EXPECT_EQ(tlbs.lookupData(0x5000), TlbHierarchy::Result::L1Hit);
+    EXPECT_EQ(tlbs.lookupData(0x5000).level,
+              TlbHierarchy::Result::L1Hit);
 }
 
 TEST(Pwc, MissReturnsRoot)
