@@ -173,8 +173,11 @@ main(int argc, char **argv)
 
     if (!opt.quiet) {
         std::string grid;
-        for (unsigned t : opt.sweep.tenantsPerCore)
-            grid += (grid.empty() ? "" : ",") + std::to_string(t);
+        for (unsigned t : opt.sweep.tenantsPerCore) {
+            if (!grid.empty())
+                grid.append(",");
+            grid.append(std::to_string(t));
+        }
         std::printf("dmt-node: sweep {%s} tenants/core x %u core(s) "
                     "on %u thread(s), policy %s, slice %llu\n",
                     grid.c_str(), opt.sweep.cores, opt.threads,

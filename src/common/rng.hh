@@ -67,32 +67,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /**
-     * @return an approximately Zipf-distributed rank in [0, n) with
-     * exponent s, generated by inverse-CDF over a harmonic
-     * approximation. Used for skewed key popularity (Redis/Memcached).
-     */
-    std::uint64_t
-    zipf(std::uint64_t n, double s)
-    {
-        // Approximate inverse CDF using the continuous Zipf integral.
-        const double u = uniform();
-        if (s == 1.0) {
-            const double hn = std::log(static_cast<double>(n) + 1.0);
-            const double r = std::exp(u * hn) - 1.0;
-            const auto rank = static_cast<std::uint64_t>(r);
-            return rank < n ? rank : n - 1;
-        }
-        const double oneMinusS = 1.0 - s;
-        const double hn =
-            (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-            oneMinusS;
-        const double r =
-            std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
-        const auto rank = static_cast<std::uint64_t>(r);
-        return rank < n ? rank : n - 1;
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -101,6 +75,50 @@ class Rng
     }
 
     std::uint64_t state_[4];
+};
+
+/**
+ * Approximately Zipf-distributed ranks in [0, n) with exponent s, by
+ * inverse CDF over the continuous Zipf integral. Used for skewed key
+ * popularity (Redis/Memcached). The normalizer depends only on (n, s)
+ * and is computed once here; each draw evaluates the same expressions
+ * as a per-draw computation would, so its ranks are bit-identical.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(std::uint64_t n, double s)
+        : n_(n), harmonic_(s == 1.0), oneMinusS_(1.0 - s),
+          invOneMinusS_(harmonic_ ? 0.0 : 1.0 / oneMinusS_),
+          hn_(harmonic_
+                  ? std::log(static_cast<double>(n) + 1.0)
+                  : (std::pow(static_cast<double>(n) + 1.0,
+                              oneMinusS_) -
+                     1.0) /
+                        oneMinusS_)
+    {
+    }
+
+    /** @return the next rank, drawing one uniform() from rng. */
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        const double u = rng.uniform();
+        const double r =
+            harmonic_ ? std::exp(u * hn_) - 1.0
+                      : std::pow(u * hn_ * oneMinusS_ + 1.0,
+                                 invOneMinusS_) -
+                            1.0;
+        const auto rank = static_cast<std::uint64_t>(r);
+        return rank < n_ ? rank : n_ - 1;
+    }
+
+  private:
+    std::uint64_t n_;
+    bool harmonic_;  //!< s == 1: the integral is a logarithm
+    double oneMinusS_;
+    double invOneMinusS_;
+    double hn_;  //!< the integral's normalizer over [0, n]
 };
 
 } // namespace dmt

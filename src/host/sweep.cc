@@ -20,7 +20,8 @@ sweepTenants(const NodeSweepConfig &config, unsigned tenants_per_core)
     tenants.reserve(total);
     for (unsigned i = 0; i < total; ++i) {
         TenantSpec spec;
-        spec.name = "t" + std::to_string(i);
+        spec.name.push_back('t');
+        spec.name.append(std::to_string(i));
         spec.workload = config.workloads[i % config.workloads.size()];
         spec.env = config.env;
         spec.design = config.design;

@@ -1,6 +1,8 @@
 #include "os/address_space.hh"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -16,27 +18,44 @@ AddressSpace::AddressSpace(Memory &mem, BuddyAllocator &allocator,
 
 AddressSpace::~AddressSpace()
 {
-    // Free data frames before the page table tears itself down: one
-    // freeContig() per run of physically consecutive owned frames.
-    // The buddy allocator coalesces maximally, so its free lists do
-    // not depend on the order frames come back in.
-    Pfn runBase = 0;
-    std::uint64_t runPages = 0;
+    // Every owned frame goes back in one freeRuns(): the data leaves
+    // as runs of physically consecutive frames, with the spliced
+    // frames cut out of each 4 KB run by one lower_bound(), and the
+    // table pages the page table hands over. The buddy allocator
+    // coalesces maximally, so its free lists do not depend on the
+    // order or grouping frames come back in.
+    std::vector<FrameRun> runs;
+    FrameRun run;         // the pending run
+    bool run4K = false;   // of 4 KB leaves; a huge leaf is never spliced
+    const auto flush = [&] {
+        Pfn from = run.base;
+        const Pfn end = run.base + run.pages;
+        if (run4K) {
+            for (auto it = spliced_.lower_bound(from);
+                 it != spliced_.end() && *it < end; ++it) {
+                if (*it > from)
+                    runs.push_back({from, *it - from});
+                from = *it + 1;
+            }
+        }
+        if (from < end)
+            runs.push_back({from, end - from});
+    };
     pt_.forEachLeaf([&](Addr, Pfn pfn, PageSize size) {
-        if (size == PageSize::Size4K && spliced_.count(pfn))
-            return;
         const std::uint64_t pages = pageBytesOf(size) >> pageShift;
-        if (runPages > 0 && pfn == runBase + runPages) {
-            runPages += pages;
+        const bool is4K = size == PageSize::Size4K;
+        if (run.pages > 0 && is4K == run4K &&
+            pfn == run.base + run.pages) {
+            run.pages += pages;
             return;
         }
-        if (runPages > 0)
-            allocator_.freeContig(runBase, runPages);
-        runBase = pfn;
-        runPages = pages;
+        flush();
+        run = {pfn, pages};
+        run4K = is4K;
     });
-    if (runPages > 0)
-        allocator_.freeContig(runBase, runPages);
+    flush();
+    pt_.releaseTables(runs);
+    allocator_.freeRuns(std::move(runs));
 }
 
 const Vma &

@@ -325,6 +325,33 @@ BuddyAllocator::freeContig(Pfn base, std::uint64_t n_pages)
     DMT_AUDIT_EVENT(auditor_);
 }
 
+void
+BuddyAllocator::freeRuns(std::vector<FrameRun> runs)
+{
+    InvariantAuditor::Pause pause(auditor_);
+    std::sort(runs.begin(), runs.end(),
+              [](const FrameRun &a, const FrameRun &b) {
+                  return a.base < b.base;
+              });
+    FrameRun merged;
+    for (const FrameRun &run : runs) {
+        const Pfn end = merged.base + merged.pages;
+        if (merged.pages > 0 && run.base < end) {
+            panic("freeRuns: frame 0x%llx released twice",
+                  static_cast<unsigned long long>(run.base));
+        }
+        if (merged.pages > 0 && run.base == end) {
+            merged.pages += run.pages;
+            continue;
+        }
+        if (merged.pages > 0)
+            freeContig(merged.base, merged.pages);
+        merged = run;
+    }
+    if (merged.pages > 0)
+        freeContig(merged.base, merged.pages);
+}
+
 bool
 BuddyAllocator::expandInPlace(Pfn base, std::uint64_t cur_pages,
                               std::uint64_t extra_pages, FrameKind kind)

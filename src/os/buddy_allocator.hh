@@ -42,6 +42,13 @@ enum class FrameKind : std::uint8_t
     PageTable,  //!< page-table or TEA page; pinned
 };
 
+/** A run of physically consecutive frames. */
+struct FrameRun
+{
+    Pfn base = 0;
+    std::uint64_t pages = 0;
+};
+
 /** Buddy allocator over a flat physical frame range [0, numFrames). */
 class BuddyAllocator
 {
@@ -95,6 +102,16 @@ class BuddyAllocator
 
     /** Free a run previously returned by allocContig(). */
     void freeContig(Pfn base, std::uint64_t n_pages);
+
+    /**
+     * Free a set of owned frames given as runs in any order, as a
+     * dying owner does: sorts the runs, merges touching ones and
+     * frees each merged run with one freeContig(), double-free check
+     * included. Panics if two runs overlap. Maximal coalescing leaves
+     * the same free lists as freeing every frame on its own. No
+     * interval sweep sees the set half freed.
+     */
+    void freeRuns(std::vector<FrameRun> runs);
 
     /**
      * Try to grow an existing contiguous allocation in place by

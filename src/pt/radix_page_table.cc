@@ -29,12 +29,9 @@ RadixPageTable::RadixPageTable(Memory &mem,
 
 RadixPageTable::~RadixPageTable()
 {
-    if (auditor_)
-        auditor_->unregisterHook(auditHookId_);
-    // Frame frees below tick the allocator's audit events; the tree is
-    // in a transient half-destroyed state until we are done.
-    InvariantAuditor::Pause pause(auditor_);
-    destroySubtree(rootPfn_, levels_, 0);
+    std::vector<FrameRun> runs;
+    releaseTables(runs);
+    allocator_.freeRuns(std::move(runs));
 }
 
 void
@@ -48,10 +45,25 @@ RadixPageTable::attachAuditor(InvariantAuditor &auditor,
 }
 
 void
-RadixPageTable::destroySubtree(Pfn table_pfn, int level, Addr span_base)
+RadixPageTable::releaseTables(std::vector<FrameRun> &out)
+{
+    if (tablePages_ == 0)
+        return;  // released already
+    if (auditor_)
+        auditor_->unregisterHook(auditHookId_);
+    // Zeroing and provider releases tick audit events; the tree is
+    // in a transient half-destroyed state until we are done.
+    InvariantAuditor::Pause pause(auditor_);
+    releaseSubtree(rootPfn_, levels_, 0, out);
+    auditor_ = nullptr;
+}
+
+void
+RadixPageTable::releaseSubtree(Pfn table_pfn, int level, Addr span_base,
+                               std::vector<FrameRun> &out)
 {
     if (level > 1) {
-        // Freeing a child writes only the child's page, so the
+        // Retiring a child writes only the child's page, so the
         // entries stay valid across the loop.
         TableWords buf{};
         const std::uint64_t *entries = tableEntries(table_pfn, buf);
@@ -61,10 +73,11 @@ RadixPageTable::destroySubtree(Pfn table_pfn, int level, Addr span_base)
                 continue;
             const Addr childSpan =
                 span_base + static_cast<Addr>(i) * spanBytes(level - 1);
-            destroySubtree(ptePfn(pte), level - 1, childSpan);
+            releaseSubtree(ptePfn(pte), level - 1, childSpan, out);
         }
     }
-    freeTable(level, span_base, table_pfn);
+    if (retireTable(level, span_base, table_pfn))
+        out.push_back({table_pfn, 1});
 }
 
 void
@@ -133,6 +146,13 @@ RadixPageTable::allocTable(int level, Addr span_base)
 void
 RadixPageTable::freeTable(int level, Addr span_base, Pfn pfn)
 {
+    if (retireTable(level, span_base, pfn))
+        allocator_.freePages(pfn, 0);
+}
+
+bool
+RadixPageTable::retireTable(int level, Addr span_base, Pfn pfn)
+{
     // Decrement before releasing the frame: the release ticks the
     // allocator's audit events, and a sweep at that point must see the
     // tree (which no longer references pfn) agree with the counter.
@@ -140,13 +160,12 @@ RadixPageTable::freeTable(int level, Addr span_base, Pfn pfn)
     --tablePages_;
     mem_.zeroRange(pfn << pageShift, pageSize);
     auto it = providerOwned_.find(pfn);
-    if (it != providerOwned_.end()) {
-        if (provider_)
-            provider_->releaseTableFrame(level, span_base, pfn);
-        providerOwned_.erase(it);
-    } else {
-        allocator_.freePages(pfn, 0);
-    }
+    if (it == providerOwned_.end())
+        return true;
+    if (provider_)
+        provider_->releaseTableFrame(level, span_base, pfn);
+    providerOwned_.erase(it);
+    return false;
 }
 
 std::optional<Pfn>
@@ -295,6 +314,15 @@ RadixPageTable::mapSpan4K(Addr va, Addr end,
         next += i - start;
     }
     return unmapped;
+}
+
+const std::uint64_t *
+RadixPageTable::leafTableEntries(Addr va, TableWords &buf) const
+{
+    const Pfn table = leafTableOf(va);
+    if (table == noTable || table == hugeLeaf)
+        return nullptr;
+    return tableEntries(table, buf);
 }
 
 Pfn

@@ -177,6 +177,19 @@ class RadixPageTable
      */
     bool spanEmpty(Addr va) const { return leafTableOf(va) == noTable; }
 
+    /** One table page's entries. */
+    using TableWords = std::array<std::uint64_t, ptesPerPage>;
+
+    /**
+     * The entries of the 4 KB-leaf table covering va's 2 MB span,
+     * read with one walk and at most one readWords(): a pointer into
+     * the read window when it covers the page, else `buf`. Valid
+     * until the page is next written.
+     * @return nullptr if no leaf table covers the span: nothing maps
+     *         it, or one huge leaf maps all of it.
+     */
+    const std::uint64_t *leafTableEntries(Addr va, TableWords &buf) const;
+
     /** Unmap the page containing va; no-op if not mapped. */
     void unmap(Addr va);
 
@@ -286,6 +299,18 @@ class RadixPageTable
 
     int levels() const { return levels_; }
 
+    /**
+     * Tear the tree down for an owner that frees its frames in bulk.
+     * Every table page is zeroed and counted out of tablePages(), as
+     * unmap() pruning would; one the frame provider owns goes back to
+     * the provider, and every other one is appended to `out` as a
+     * one-frame run for the caller to free, e.g. with the owner's own
+     * frames in one BuddyAllocator::freeRuns(). Read the leaves
+     * first: afterwards the table is dead, and only its destructor,
+     * which then frees nothing, may be called.
+     */
+    void releaseTables(std::vector<FrameRun> &out);
+
     /** Number of table pages currently allocated (all levels). */
     std::uint64_t tablePages() const { return tablePages_; }
 
@@ -333,6 +358,13 @@ class RadixPageTable
     /** Release a table page (notifying the provider if it owns it). */
     void freeTable(int level, Addr span_base, Pfn pfn);
 
+    /**
+     * Zero a table page the tree no longer references and count it
+     * out; hand it back if the provider owns it.
+     * @return true if the frame is the allocator's to free
+     */
+    bool retireTable(int level, Addr span_base, Pfn pfn);
+
     /** @return PA of the entry slot for va within a table page. */
     Addr entrySlot(Pfn table_pfn, Addr va, int level) const;
 
@@ -377,9 +409,6 @@ class RadixPageTable
      */
     void setLeafRun(Pfn table_pfn, int first, const Pfn *pfns, int n);
 
-    /** One table page's entries. */
-    using TableWords = std::array<std::uint64_t, ptesPerPage>;
-
     /**
      * @return the entries of a table page: a pointer into the read
      *         window when it covers the page, else `buf` filled by one
@@ -398,8 +427,9 @@ class RadixPageTable
     /** @return true if a table page holds no present entries. */
     bool tableEmpty(Pfn table_pfn) const;
 
-    /** Recursively free a subtree (destructor helper). */
-    void destroySubtree(Pfn table_pfn, int level, Addr span_base);
+    /** Post-order traversal behind releaseTables(). */
+    void releaseSubtree(Pfn table_pfn, int level, Addr span_base,
+                        std::vector<FrameRun> &out);
 
     /** Recursive traversal behind audit(). */
     void auditSubtree(Pfn table_pfn, int level, AuditSink &sink,

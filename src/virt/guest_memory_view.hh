@@ -90,6 +90,37 @@ class GuestMemoryView : public Memory
         return *tr;
     }
 
+    /**
+     * resolve() for n guest pages at once, by frame number: out[i]
+     * is the backing frame of guest frame gpfns[i]. Reads the
+     * container's leaf table once per run of pages inside one 2 MB
+     * span; a page mapped there by a huge leaf, or not at all, takes
+     * resolve() instead, panics included. Fills no memo slot of its
+     * own.
+     */
+    void
+    backingFrames(const Pfn *gpfns, std::size_t n, Pfn *out) const
+    {
+        RadixPageTable::TableWords buf{};
+        const std::uint64_t *entries = nullptr;
+        Addr span = ~Addr{0};
+        for (std::size_t i = 0; i < n; ++i) {
+            const Addr gpa = gpfns[i] << pageShift;
+            DMT_ASSERT(gpa < bytes_,
+                       "guest physical address 0x%llx beyond VM memory",
+                       static_cast<unsigned long long>(gpa));
+            const Addr va = baseVa_ + gpa;
+            if (pageAlignDown(va, PageSize::Size2M) != span) {
+                span = pageAlignDown(va, PageSize::Size2M);
+                entries = table_.leafTableEntries(va, buf);
+            }
+            const std::uint64_t pte =
+                entries ? entries[RadixPageTable::indexAt(va, 1)] : 0;
+            out[i] = pteIsPresent(pte) ? ptePfn(pte)
+                                       : resolve(gpa) >> pageShift;
+        }
+    }
+
     std::uint64_t
     read64(Addr pa) const override
     {

@@ -1,5 +1,8 @@
 #include "virt/shadow_pager.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/log.hh"
 
 namespace dmt
@@ -61,11 +64,52 @@ ShadowPager::shadowOne(Addr gva, const Translation &gtr)
 void
 ShadowPager::syncAll()
 {
+    // Leaf for leaf what shadowOne() on every guest leaf in ascending
+    // order maps, with the same exits, leaf epochs, audit ticks and
+    // host allocations: a huge guest leaf still goes through
+    // shadowOne(), but each run of 4 KB guest leaves at consecutive
+    // VAs inside one 2 MB span is one mapSpan4K(), its backing frames
+    // found with one container leaf-table read per span.
+    Addr runVa = 0;
+    std::size_t runPages = 0;
+    std::array<Pfn, ptesPerPage> gpfns{};
+    const auto flushRun = [&] {
+        if (runPages == 0)
+            return;
+        std::array<Pfn, ptesPerPage> frames{};
+        guestMem_.backingFrames(gpfns.data(), runPages, frames.data());
+        std::size_t drawn = 0;
+        const Addr end = runVa + runPages * pageSize;
+        const std::uint64_t mapped = spt_->mapSpan4K(
+            runVa, end, [&](std::uint64_t n, Pfn *out) {
+                std::copy_n(frames.data() + drawn, n, out);
+                drawn += n;
+            });
+        if (mapped != runPages) {
+            panic("syncAll: shadow of [0x%llx, 0x%llx) already mapped",
+                  static_cast<unsigned long long>(runVa),
+                  static_cast<unsigned long long>(end));
+        }
+        exits_ += runPages;
+        runPages = 0;
+    };
     guest_.pageTable().forEachLeaf(
-        [this](Addr va, Pfn pfn, PageSize size) {
-            shadowOne(va, Translation{pfn, size, pfn << pageShift});
-            ++exits_;
+        [&](Addr va, Pfn pfn, PageSize size) {
+            if (size != PageSize::Size4K) {
+                flushRun();
+                shadowOne(va, Translation{pfn, size, pfn << pageShift});
+                ++exits_;
+                return;
+            }
+            if (va != runVa + runPages * pageSize ||
+                (va & (hugePageSize - 1)) == 0) {
+                flushRun();
+            }
+            if (runPages == 0)
+                runVa = va;
+            gpfns[runPages++] = pfn;
         });
+    flushRun();
 }
 
 void

@@ -46,7 +46,9 @@ class ShadowPager
      * Full synchronisation: rebuild the sPT from the guest table.
      * Each synchronised leaf counts one intercepted guest PT update
      * (in steady state updates arrive one by one; bulk sync models
-     * the populate phase).
+     * the populate phase). The sPT must be empty: the result is
+     * syncPage() on every guest leaf in ascending order, built a
+     * 2 MB span of 4 KB leaves at a time.
      */
     void syncAll();
 

@@ -162,7 +162,7 @@ class RedisTrace : public BaseTrace
     RedisTrace(std::uint64_t seed, Addr heap, Addr bucket_bytes,
                Addr record_bytes)
         : BaseTrace(seed), heap_(heap), bucketBytes_(bucket_bytes),
-          recordBytes_(record_bytes)
+          zipf_(record_bytes / 304, 0.99)
     {
     }
 
@@ -173,7 +173,7 @@ class RedisTrace : public BaseTrace
         // (Zipf-popular keys).
         if (phase_ == 0) {
             phase_ = 1;
-            key_ = rng_.zipf(recordBytes_ / 304, 0.99);
+            key_ = zipf_(rng_);
             const std::uint64_t h =
                 (key_ * 0x9e3779b97f4a7c15ull) %
                 (bucketBytes_ / 8);
@@ -184,7 +184,8 @@ class RedisTrace : public BaseTrace
     }
 
   private:
-    Addr heap_, bucketBytes_, recordBytes_;
+    Addr heap_, bucketBytes_;
+    ZipfSampler zipf_;
     std::uint64_t key_ = 0;
     int phase_ = 0;
 };
@@ -246,23 +247,23 @@ class MemcachedTrace : public BaseTrace
     MemcachedTrace(std::uint64_t seed, std::vector<Addr> slabs,
                    Addr slab_bytes)
         : BaseTrace(seed), slabs_(std::move(slabs)),
-          slabBytes_(slab_bytes)
+          itemsPerSlab_(slab_bytes / 1024),
+          zipf_(slabs_.size() * itemsPerSlab_, 0.99)
     {
     }
 
     Addr
     nextMain() override
     {
-        const std::uint64_t itemsPerSlab = slabBytes_ / 1024;
-        const std::uint64_t items = slabs_.size() * itemsPerSlab;
-        const std::uint64_t item = rng_.zipf(items, 0.99);
-        const Addr slab = slabs_[item / itemsPerSlab];
-        return slab + (item % itemsPerSlab) * 1024;
+        const std::uint64_t item = zipf_(rng_);
+        const Addr slab = slabs_[item / itemsPerSlab_];
+        return slab + (item % itemsPerSlab_) * 1024;
     }
 
   private:
     std::vector<Addr> slabs_;
-    Addr slabBytes_;
+    std::uint64_t itemsPerSlab_;
+    ZipfSampler zipf_;
 };
 
 class MemcachedWorkload : public Workload

@@ -1,10 +1,13 @@
 /**
  * @file
- * Test helper: read a buddy allocator's free lists block by block.
+ * Test helpers: read a buddy allocator's free lists block by block,
+ * and compare two allocators by them.
  */
 
 #ifndef DMT_TESTS_BUDDY_DRAIN_HH
 #define DMT_TESTS_BUDDY_DRAIN_HH
+
+#include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
@@ -40,6 +43,29 @@ drainFreeBlocks(BuddyAllocator &alloc)
     for (const auto &[order, base] : blocks)
         alloc.freePages(base, order);
     return blocks;
+}
+
+/**
+ * Every frame's kind and every free block of two allocators must
+ * agree: free frames, per-order counts and drainFreeBlocks().
+ */
+inline void
+expectSameAllocator(BuddyAllocator &a, BuddyAllocator &b)
+{
+    ASSERT_EQ(a.numFrames(), b.numFrames());
+    EXPECT_EQ(a.freeFrames(), b.freeFrames());
+    for (int order = 0; order <= a.maxOrder(); ++order) {
+        EXPECT_EQ(a.freeBlocksAt(order), b.freeBlocksAt(order))
+            << "order " << order;
+    }
+    for (Pfn pfn = 0; pfn < a.numFrames(); ++pfn) {
+        if (a.kindOf(pfn) != b.kindOf(pfn)) {
+            ADD_FAILURE() << "frame 0x" << std::hex << pfn
+                          << " differs in kind";
+            break;
+        }
+    }
+    EXPECT_EQ(drainFreeBlocks(a), drainFreeBlocks(b));
 }
 
 } // namespace dmt

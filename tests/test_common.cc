@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "common/rng.hh"
@@ -76,16 +78,58 @@ TEST(RngTest, ZipfIsSkewedTowardsLowRanks)
 {
     Rng rng(3);
     constexpr std::uint64_t n = 1'000'000;
+    const ZipfSampler zipf(n, 0.99);
     int top1pct = 0;
     constexpr int draws = 50'000;
     for (int i = 0; i < draws; ++i) {
-        const auto r = rng.zipf(n, 0.99);
+        const auto r = zipf(rng);
         ASSERT_LT(r, n);
         if (r < n / 100)
             ++top1pct;
     }
     // Zipf(0.99): the top 1% of ranks draw far more than 1% of hits.
     EXPECT_GT(top1pct, draws / 4);
+}
+
+/** The Zipf draw with its normalizer recomputed every time. */
+std::uint64_t
+referenceZipf(Rng &rng, std::uint64_t n, double s)
+{
+    const double u = rng.uniform();
+    if (s == 1.0) {
+        const double hn = std::log(static_cast<double>(n) + 1.0);
+        const double r = std::exp(u * hn) - 1.0;
+        const auto rank = static_cast<std::uint64_t>(r);
+        return rank < n ? rank : n - 1;
+    }
+    const double oneMinusS = 1.0 - s;
+    const double hn =
+        (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
+        oneMinusS;
+    const double r =
+        std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
+    const auto rank = static_cast<std::uint64_t>(r);
+    return rank < n ? rank : n - 1;
+}
+
+TEST(RngTest, ZipfSamplerMatchesPerDrawFormulaDrawForDraw)
+{
+    for (const double s : {0.99, 1.0}) {
+        for (const std::uint64_t n :
+             {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{4096},
+              std::uint64_t{1'000'003}, std::uint64_t{1} << 40}) {
+            for (const std::uint64_t seed : {1ull, 42ull, 2718ull}) {
+                Rng a(seed);
+                Rng b(seed);
+                const ZipfSampler zipf(n, s);
+                for (int i = 0; i < 20'000; ++i) {
+                    ASSERT_EQ(zipf(a), referenceZipf(b, n, s))
+                        << "s " << s << " n " << n << " seed " << seed
+                        << " draw " << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(Stats, ScalarTracksMoments)

@@ -495,6 +495,7 @@ TEST(HistogramOverflow, WarnsExactlyOncePerLifetime)
 #endif
 #endif
 
+#if defined(NDEBUG) && !defined(DMT_EVENTS_SANITIZED)
 double
 baselineOpsPerSec(const std::string &path, const std::string &name)
 {
@@ -577,6 +578,7 @@ measureEndToEnd(Design design, std::uint64_t accesses)
                                              config.measureAccesses);
     return dt.count() > 0.0 ? total / dt.count() : 0.0;
 }
+#endif
 
 TEST(EventOverheadGuard, DisabledTracingStaysWithinBenchBaseline)
 {

@@ -202,8 +202,8 @@ INSTANTIATE_TEST_SUITE_P(
         SingleTenantCase{CampaignEnv::Virt, Design::Dmt, "virt"},
         SingleTenantCase{CampaignEnv::Nested, Design::PvDmt,
                          "nested"}),
-    [](const ::testing::TestParamInfo<SingleTenantCase> &info) {
-        return info.param.tag;
+    [](const ::testing::TestParamInfo<SingleTenantCase> &param) {
+        return param.param.tag;
     });
 
 // ------------------------------ K interleaved ≡ K isolated (tagged)

@@ -228,26 +228,6 @@ buildPopulateCase(PopulateMachine &m, const PopulateCase &c, Fill fill)
     }
 }
 
-/** Every frame's kind and every free block must agree. */
-void
-expectSameAllocator(BuddyAllocator &a, BuddyAllocator &b)
-{
-    ASSERT_EQ(a.numFrames(), b.numFrames());
-    EXPECT_EQ(a.freeFrames(), b.freeFrames());
-    for (int order = 0; order <= a.maxOrder(); ++order) {
-        EXPECT_EQ(a.freeBlocksAt(order), b.freeBlocksAt(order))
-            << "order " << order;
-    }
-    for (Pfn pfn = 0; pfn < a.numFrames(); ++pfn) {
-        if (a.kindOf(pfn) != b.kindOf(pfn)) {
-            ADD_FAILURE() << "frame 0x" << std::hex << pfn
-                          << " differs in kind";
-            break;
-        }
-    }
-    EXPECT_EQ(drainFreeBlocks(a), drainFreeBlocks(b));
-}
-
 using LeafList = std::vector<std::tuple<Addr, Pfn, PageSize>>;
 
 LeafList

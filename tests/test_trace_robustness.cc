@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,9 @@ writeRaw(const std::string &path, const std::vector<char> &bytes)
 void
 append(std::vector<char> &bytes, const void *data, std::size_t n)
 {
-    const char *p = static_cast<const char *>(data);
-    bytes.insert(bytes.end(), p, p + n);
+    const std::size_t at = bytes.size();
+    bytes.resize(at + n);
+    std::memcpy(bytes.data() + at, data, n);
 }
 
 std::vector<char>
