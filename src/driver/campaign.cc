@@ -7,6 +7,8 @@
 #include <mutex>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "driver/json.hh"
@@ -493,6 +495,27 @@ emitTimingJson(std::ostream &os, const CampaignConfig &config,
     json.field("total_measured_accesses", accesses);
     json.field("aggregate_accesses_per_sec",
                safeOpsPerSec(accesses, wall_seconds));
+
+    // What the whole process cost the host up to now (the run is
+    // over when the sidecar is written): kernel time and peak RSS are
+    // where a simulated memory that outgrows its state shows.
+    rusage usage{};
+    if (::getrusage(RUSAGE_SELF, &usage) != 0)
+        panic("getrusage(RUSAGE_SELF) failed");
+    const auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) / 1e6;
+    };
+    json.key("host_usage");
+    json.beginObject();
+    json.field("user_seconds", seconds(usage.ru_utime));
+    json.field("system_seconds", seconds(usage.ru_stime));
+    // Linux reports ru_maxrss in KiB.
+    json.field("peak_rss_mb",
+               static_cast<double>(usage.ru_maxrss) / 1024.0);
+    json.field("minor_faults",
+               static_cast<std::uint64_t>(usage.ru_minflt));
+    json.endObject();
     json.endObject();
 }
 

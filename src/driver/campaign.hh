@@ -182,7 +182,9 @@ void emitCampaignJson(std::ostream &os, const CampaignConfig &config,
 
 /**
  * Write the self-measured timing sidecar (wall seconds and simulated
- * accesses/sec per cell, plus totals). Deliberately a separate
+ * accesses/sec per cell, plus totals, plus the process's user and
+ * system CPU seconds, peak RSS and minor faults from getrusage at
+ * the time of writing). Deliberately a separate
  * document: timing varies run to run and would break the byte-for-
  * byte determinism contract of the main report.
  */

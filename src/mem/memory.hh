@@ -28,29 +28,51 @@ class Memory
     virtual ~Memory() = default;
 
     /**
-     * Optional zero-copy read window. When the implementation's whole
-     * address range lives in one contiguous host array of aligned
-     * words it returns {array, bytes}; otherwise {nullptr, 0} (the
-     * default — e.g. translated guest views) and readers must go
-     * through read64() or readWords(). Hot read loops (the walkers'
-     * PTE chases) cache the window once and turn each aligned
-     * in-range read into a single indexed load, skipping the virtual
-     * call. The window is read-only; writes always go through
-     * write64() or writeWords() so the backing store's accounting
-     * stays correct.
+     * Optional zero-copy read window. When the implementation keeps
+     * its words in 4 KB frames of 512 aligned words, found through a
+     * directory of frame numbers, it returns {directory, pool, bytes}:
+     * frame f's words start at pool + 512 * directory[f]. Otherwise
+     * it returns {nullptr, nullptr, 0} (the default — e.g. translated
+     * guest views) and readers must go through read64() or
+     * readWords(). Hot read loops (the walkers' PTE chases) cache the
+     * window once and turn each aligned in-range read into two loads,
+     * skipping the virtual call. The window is read-only; writes
+     * always go through write64() or writeWords() so the backing
+     * store's accounting stays correct.
      */
     struct ReadWindow
     {
-        const std::uint64_t *words = nullptr;
+        const std::uint32_t *directory = nullptr;
+        const std::uint64_t *pool = nullptr;
         Addr bytes = 0;
 
         /** read64(pa) for aligned pa, via the window when possible. */
         std::uint64_t
         read(const Memory &mem, Addr pa) const
         {
-            if (pa + 8 <= bytes) [[likely]]
-                return words[pa >> 3];
+            if (pa < bytes && bytes - pa >= 8) [[likely]]
+                return frame(pa)[(pa & pageMask) >> 3];
             return mem.read64(pa);
+        }
+
+        /**
+         * @return the 512 words of the 4 KB page at page-aligned pa,
+         *         or nullptr when the window does not cover it.
+         */
+        const std::uint64_t *
+        page(Addr pa) const
+        {
+            if (pa < bytes && bytes - pa >= pageSize)
+                return frame(pa);
+            return nullptr;
+        }
+
+      private:
+        const std::uint64_t *
+        frame(Addr pa) const
+        {
+            return pool + (std::size_t{directory[pa >> pageShift]}
+                           << (pageShift - 3));
         }
     };
 

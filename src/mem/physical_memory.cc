@@ -10,46 +10,37 @@
 namespace dmt
 {
 
-PhysicalMemory::PhysicalMemory(Addr size_bytes) : size_(size_bytes)
+PhysicalMemory::PhysicalMemory(Addr size_bytes)
+    : size_(size_bytes), pool_(FramePool::shared())
 {
     DMT_ASSERT(size_bytes > 0, "physical memory must be non-empty");
     const std::size_t frames =
         static_cast<std::size_t>((size_bytes + frameBytes - 1) >>
                                  frameShift);
-    // Round the store up to whole frames so in-range word indexing
-    // never runs off the mapping even for a non-frame-multiple size.
-    mappedBytes_ = frames * static_cast<std::size_t>(frameBytes);
-    // Anonymous no-reserve mapping: every page reads as zero until
-    // written, and the kernel commits host RAM only for pages that
-    // are. This is what keeps a multi-GB simulated memory cheap while
-    // read64 stays a single indexed load.
-    void *map = ::mmap(nullptr, mappedBytes_, PROT_READ | PROT_WRITE,
+    // Anonymous no-reserve mapping: every entry reads as the zero
+    // slot until written, and the kernel commits host RAM only for
+    // the directory pages that are.
+    dirBytes_ = frames * sizeof(Slot);
+    void *map = ::mmap(nullptr, dirBytes_, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
                        -1, 0);
     if (map == MAP_FAILED)
-        panic("cannot map 0x%llx bytes of simulated physical memory",
-              static_cast<unsigned long long>(mappedBytes_));
-    words_ = static_cast<std::uint64_t *>(map);
-#ifdef MADV_HUGEPAGE
-    // A multi-GB sparse mapping touched 8 bytes at a time is host-TLB
-    // hostile with 4 KB host pages; huge-page backing keeps read64's
-    // single load from stalling on dTLB walks. Advisory only.
-    ::madvise(map, mappedBytes_, MADV_HUGEPAGE);
-#endif
-    frameLive_.assign(frames, 0);
-    frameNonzero_.assign(frames, 0);
+        panic("cannot map the frame directory of 0x%llx bytes of "
+              "simulated physical memory",
+              static_cast<unsigned long long>(size_bytes));
+    dir_ = static_cast<Slot *>(map);
 }
 
 PhysicalMemory::~PhysicalMemory()
 {
-    if (words_)
-        ::munmap(words_, mappedBytes_);
+    pool_.give(slots_.data(), slots_.size());
+    ::munmap(dir_, dirBytes_);
 }
 
 void
 PhysicalMemory::checkAccess(Addr pa) const
 {
-    if (pa + 8 > size_)
+    if (pa >= size_ || size_ - pa < 8)
         panic("physical access 0x%llx beyond memory size 0x%llx",
               static_cast<unsigned long long>(pa),
               static_cast<unsigned long long>(size_));
@@ -61,11 +52,27 @@ PhysicalMemory::checkAccess(Addr pa) const
 void
 PhysicalMemory::checkRange(Addr pa, Addr bytes, const char *what) const
 {
-    if (pa + bytes < pa || pa + bytes > size_)
+    if (pa > size_ || bytes > size_ - pa)
         panic("%s [0x%llx, +0x%llx) beyond memory size 0x%llx", what,
               static_cast<unsigned long long>(pa),
               static_cast<unsigned long long>(bytes),
               static_cast<unsigned long long>(size_));
+}
+
+PhysicalMemory::Slot
+PhysicalMemory::materialise(std::size_t frame)
+{
+    Slot slot;
+    if (!spare_.empty()) {
+        slot = spare_.back();
+        spare_.pop_back();
+    } else {
+        slot = pool_.take();
+        slots_.push_back(slot);
+    }
+    dir_[frame] = slot;
+    ++framesInUse_;
+    return slot;
 }
 
 void
@@ -74,21 +81,22 @@ PhysicalMemory::write64(Addr pa, std::uint64_t value)
     checkAccess(pa);
     const std::size_t frame =
         static_cast<std::size_t>(pa >> frameShift);
-    if (!frameLive_[frame]) {
+    Slot slot = dir_[frame];
+    if (slot == FramePool::zeroSlot) {
         if (value == 0)
             return;  // zero into an unmaterialised frame: no-op
-        frameLive_[frame] = 1;
-        ++framesInUse_;
+        slot = materialise(frame);
     }
-    std::uint64_t &slot = words_[pa >> 3];
-    if (value != 0 && slot == 0) {
-        ++frameNonzero_[frame];
+    std::uint64_t &word = pool_.frame(slot)[(pa & frameMask) >> 3];
+    std::uint32_t &nonzero = pool_.nonzero(slot);
+    if (value != 0 && word == 0) {
+        ++nonzero;
         ++nonzeroWords_;
-    } else if (value == 0 && slot != 0) {
-        --frameNonzero_[frame];
+    } else if (value == 0 && word != 0) {
+        --nonzero;
         --nonzeroWords_;
     }
-    slot = value;
+    word = value;
 }
 
 void
@@ -99,7 +107,15 @@ PhysicalMemory::readWords(Addr pa, std::uint64_t *out,
         return;
     checkAccess(pa);
     checkRange(pa, Addr{n} * 8, "readWords");
-    std::memcpy(out, words_ + (pa >> 3), n * 8);
+    while (n > 0) {
+        const std::size_t chunk = std::min<std::size_t>(
+            n, static_cast<std::size_t>(
+                   (frameBytes - (pa & frameMask)) >> 3));
+        std::memcpy(out, wordAt(pa), chunk * 8);
+        pa += Addr{chunk} * 8;
+        out += chunk;
+        n -= chunk;
+    }
 }
 
 void
@@ -116,26 +132,22 @@ PhysicalMemory::writeWords(Addr pa, const std::uint64_t *in,
                    (frameBytes - (pa & frameMask)) >> 3));
         const std::size_t frame =
             static_cast<std::size_t>(pa >> frameShift);
-        bool live = frameLive_[frame] != 0;
-        if (!live) {
-            // write64() materialises a frame on its first nonzero
-            // word; zeros before it land on zeros and change nothing.
-            live = std::any_of(in, in + chunk,
-                               [](std::uint64_t v) { return v != 0; });
-            if (live) {
-                frameLive_[frame] = 1;
-                ++framesInUse_;
-            }
-        }
-        if (live) {
-            std::uint64_t *to = words_ + (pa >> 3);
+        Slot slot = dir_[frame];
+        // write64() materialises a frame on its first nonzero word;
+        // zeros before it land on zeros and change nothing.
+        if (slot == FramePool::zeroSlot &&
+            std::any_of(in, in + chunk,
+                        [](std::uint64_t v) { return v != 0; }))
+            slot = materialise(frame);
+        if (slot != FramePool::zeroSlot) {
+            std::uint64_t *to = wordAt(pa);
             std::size_t delta = 0;  // nonzero words, new minus old
             for (std::size_t w = 0; w < chunk; ++w) {
                 delta += (in[w] != 0) ? 1 : 0;
                 delta -= (to[w] != 0) ? 1 : 0;
             }
             std::memcpy(to, in, chunk * 8);
-            frameNonzero_[frame] += static_cast<std::uint32_t>(delta);
+            pool_.nonzero(slot) += static_cast<std::uint32_t>(delta);
             nonzeroWords_ += delta;
         }
         pa += Addr{chunk} * 8;
@@ -147,15 +159,14 @@ PhysicalMemory::writeWords(Addr pa, const std::uint64_t *in,
 void
 PhysicalMemory::zeroWithinFrame(Addr pa, Addr bytes)
 {
-    const std::size_t frame =
-        static_cast<std::size_t>(pa >> frameShift);
-    if (!frameLive_[frame] || frameNonzero_[frame] == 0)
+    const Slot slot = dir_[pa >> frameShift];
+    if (slot == FramePool::zeroSlot || pool_.nonzero(slot) == 0)
         return;
-    std::uint64_t *span = words_ + (pa >> 3);
+    std::uint64_t *span = wordAt(pa);
     const std::size_t count = static_cast<std::size_t>(bytes >> 3);
     for (std::size_t w = 0; w < count; ++w) {
         if (span[w] != 0) {
-            --frameNonzero_[frame];
+            --pool_.nonzero(slot);
             --nonzeroWords_;
         }
     }
@@ -166,14 +177,13 @@ void
 PhysicalMemory::dropFrame(Addr frame)
 {
     const std::size_t f = static_cast<std::size_t>(frame);
-    if (!frameLive_[f])
+    const Slot slot = dir_[f];
+    if (slot == FramePool::zeroSlot)
         return;
-    if (frameNonzero_[f] != 0) {
-        nonzeroWords_ -= frameNonzero_[f];
-        frameNonzero_[f] = 0;
-        std::memset(words_ + f * frameWords, 0, frameBytes);
-    }
-    frameLive_[f] = 0;
+    nonzeroWords_ -= pool_.nonzero(slot);
+    pool_.scrub(slot);
+    dir_[f] = FramePool::zeroSlot;
+    spare_.push_back(slot);
     --framesInUse_;
 }
 
@@ -211,10 +221,10 @@ PhysicalMemory::copyRange(Addr dst, Addr src, Addr bytes)
         const Addr chunk =
             std::min({bytes, frameBytes - (dst & frameMask),
                       frameBytes - (src & frameMask)});
-        const std::size_t sf =
-            static_cast<std::size_t>(src >> frameShift);
-        if (frameNonzero_[sf] == 0) {
-            // Source reads as zero: equivalent to zeroing dst.
+        const Slot srcSlot = dir_[src >> frameShift];
+        if (pool_.nonzero(srcSlot) == 0) {
+            // Source reads as zero (the zero slot's count is 0 too):
+            // equivalent to zeroing dst.
             if (dst == (dst & ~frameMask) && chunk == frameBytes)
                 dropFrame(dst >> frameShift);
             else
@@ -222,21 +232,20 @@ PhysicalMemory::copyRange(Addr dst, Addr src, Addr bytes)
         } else {
             const std::size_t df =
                 static_cast<std::size_t>(dst >> frameShift);
-            if (!frameLive_[df]) {
-                frameLive_[df] = 1;
-                ++framesInUse_;
-            }
+            Slot dstSlot = dir_[df];
+            if (dstSlot == FramePool::zeroSlot)
+                dstSlot = materialise(df);
             const std::size_t words =
                 static_cast<std::size_t>(chunk >> 3);
-            const std::uint64_t *from = words_ + (src >> 3);
-            std::uint64_t *to = words_ + (dst >> 3);
+            const std::uint64_t *from = wordAt(src);
+            std::uint64_t *to = wordAt(dst);
             std::size_t delta = 0;  // nonzero words, new minus old
             for (std::size_t w = 0; w < words; ++w) {
                 delta += (from[w] != 0) ? 1 : 0;
                 delta -= (to[w] != 0) ? 1 : 0;
             }
             std::memcpy(to, from, chunk);
-            frameNonzero_[df] += static_cast<std::uint32_t>(delta);
+            pool_.nonzero(dstSlot) += static_cast<std::uint32_t>(delta);
             nonzeroWords_ += delta;
         }
         dst += chunk;

@@ -7,16 +7,15 @@
  * PTE values from here). Data pages do not need content, so the store
  * only accounts 4 KB frames that were written.
  *
- * Storage is one flat word array over the whole physical address
- * space, demand-backed by the host kernel (anonymous, no-reserve
- * mapping): untouched spans share the kernel's zero page, so a 4 GB
- * simulated memory costs host RAM only for the frames actually
- * written. read64 is then a single indexed load — no frame-pointer
- * chase and no materialisation branch on the walkers' per-PTE path.
- * Frame-granular accounting (materialised frames, nonzero words)
- * lives in small side arrays that only the write paths touch. Words
- * in unmaterialised frames read as zero, preserving the zero-fill
- * contract of the old frame-directory store.
+ * Storage is a frame directory over the process-wide FramePool: each
+ * simulated 4 KB frame maps to a pool slot, and an unmaterialised
+ * frame maps to the pool's zero slot, so its words read as zero and
+ * read64 stays two loads (directory entry, then word) with no
+ * materialisation branch on the walkers' per-PTE path. The directory
+ * is a demand-backed anonymous mapping (4 bytes per simulated frame,
+ * nothing zeroed up front); host memory otherwise follows the
+ * materialised frames, and the slots go back to the pool, zeroed,
+ * when a frame is dropped for good or the memory is destroyed.
  */
 
 #ifndef DMT_MEM_PHYSICAL_MEMORY_HH
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/frame_pool.hh"
 #include "mem/memory.hh"
 
 namespace dmt
@@ -51,14 +51,14 @@ class PhysicalMemory : public Memory
     read64(Addr pa) const override
     {
         checkAccess(pa);
-        return words_[pa >> 3];
+        return *wordAt(pa);
     }
 
-    /** The flat word store doubles as a zero-copy read window. */
+    /** The directory and the pool double as a zero-copy window. */
     ReadWindow
     readWindow() const override
     {
-        return {words_, size_};
+        return {dir_, pool_.words(), size_};
     }
 
     /** Pull the word's backing storage into host caches. */
@@ -67,13 +67,13 @@ class PhysicalMemory : public Memory
     {
         // Out-of-range addresses are left for read64() to diagnose.
         if (pa < size_)
-            __builtin_prefetch(&words_[pa >> 3], 0, 1);
+            __builtin_prefetch(wordAt(pa), 0, 1);
     }
 
     /** Write an aligned 64-bit word. */
     void write64(Addr pa, std::uint64_t value) override;
 
-    /** Copy n words out of the flat store. */
+    /** Copy n words out, a frame at a time. */
     void readWords(Addr pa, std::uint64_t *out,
                    std::size_t n) const override;
 
@@ -118,10 +118,25 @@ class PhysicalMemory : public Memory
     static constexpr int frameShift = 12;
     static constexpr Addr frameBytes = Addr{1} << frameShift;
     static constexpr Addr frameMask = frameBytes - 1;
-    static constexpr std::size_t frameWords = frameBytes / 8;
+    static_assert(frameShift == pageShift &&
+                      frameBytes / 8 == FramePool::frameWords,
+                  "a frame is one pool slot and one ReadWindow page");
+
+    using Slot = FramePool::Slot;
 
     void checkAccess(Addr pa) const;
     void checkRange(Addr pa, Addr bytes, const char *what) const;
+
+    /** @return the word at in-range pa (the zero slot if unbacked). */
+    std::uint64_t *
+    wordAt(Addr pa) const
+    {
+        return pool_.frame(dir_[pa >> frameShift]) +
+               ((pa & frameMask) >> 3);
+    }
+
+    /** Back a frame with a zero slot; @return the slot. */
+    Slot materialise(std::size_t frame);
 
     /** Zero a word-aligned span that lies within a single frame. */
     void zeroWithinFrame(Addr pa, Addr bytes);
@@ -130,17 +145,18 @@ class PhysicalMemory : public Memory
     void dropFrame(Addr frame);
 
     Addr size_;
-    /** Flat word store, one slot per aligned word of the space. */
-    std::uint64_t *words_ = nullptr;
-    std::size_t mappedBytes_ = 0;
+    FramePool &pool_;
     /**
-     * Per-frame accounting: whether a frame counts as materialised
-     * (a nonzero value was ever written and not since dropped) and
-     * how many of its words are currently nonzero. Only the write
-     * paths consult these; reads go straight to the word store.
+     * Frame directory: simulated frame number -> pool slot, with
+     * FramePool::zeroSlot for a frame that is not materialised (no
+     * nonzero value written since it was created or last dropped).
      */
-    std::vector<std::uint8_t> frameLive_;
-    std::vector<std::uint32_t> frameNonzero_;
+    Slot *dir_ = nullptr;
+    std::size_t dirBytes_ = 0;
+    /** Every slot taken from the pool: the destructor gives these. */
+    std::vector<Slot> slots_;
+    /** Slots of dropped frames, zero, taken before the pool's. */
+    std::vector<Slot> spare_;
     std::size_t nonzeroWords_ = 0;
     std::size_t framesInUse_ = 0;
 };

@@ -418,8 +418,8 @@ class RadixPageTable
     tableEntries(Pfn table_pfn, TableWords &buf) const
     {
         const Addr pa = table_pfn << pageShift;
-        if (pa + pageSize <= win_.bytes)
-            return win_.words + (pa >> 3);
+        if (const std::uint64_t *entries = win_.page(pa))
+            return entries;
         mem_.readWords(pa, buf.data(), buf.size());
         return buf.data();
     }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -152,6 +153,19 @@ TEST(Campaign, TimingSidecarIsSeparateFromReport)
     EXPECT_NE(timing.str().find("wall_seconds"), std::string::npos);
     EXPECT_NE(timing.str().find("dmt-campaign-timing-v1"),
               std::string::npos);
+    // So do the host resources the process used.
+    for (const char *key : {"\"host_usage\"", "\"user_seconds\"",
+                            "\"system_seconds\"", "\"peak_rss_mb\"",
+                            "\"minor_faults\""}) {
+        EXPECT_EQ(report.str().find(key), std::string::npos) << key;
+        EXPECT_NE(timing.str().find(key), std::string::npos) << key;
+    }
+    const std::string sidecar = timing.str();
+    const std::string rss = "\"peak_rss_mb\": ";
+    const std::size_t at = sidecar.find(rss);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_GT(std::strtod(sidecar.c_str() + at + rss.size(), nullptr),
+              0.0);
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "common/stats.hh"
 #include "driver/campaign.hh"
 #include "host/sweep.hh"
+#include "mem/physical_memory.hh"
 #include "sim/testbed.hh"
 #include "workloads/workloads.hh"
 
@@ -155,6 +156,70 @@ TEST(Concurrency, LogLevelGateIsRaceFree)
         t.join();
     setLogLevel(before);
     EXPECT_EQ(logLevel(), before);
+}
+
+/**
+ * Every PhysicalMemory takes and returns 4 KB frames through one
+ * process-wide pool. Four threads build, fill, verify and destroy
+ * memories in a loop, so slots released on one thread are taken on
+ * another: a race on the free list is a TSan report, and a slot that
+ * comes back dirty or is handed to two memories at once shows up as
+ * a word that does not read back.
+ */
+TEST(Concurrency, FramePoolIsSharedSafelyAcrossThreads)
+{
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 30;
+    constexpr Addr kFrames = 64;
+    std::vector<std::size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([t, &mismatches] {
+            std::size_t bad = 0;
+            for (int r = 0; r < kRounds; ++r) {
+                PhysicalMemory mem(kFrames * pageSize);
+                const auto word = [&](Addr pa) -> std::uint64_t {
+                    return (std::uint64_t(t + 1) << 48) |
+                           (std::uint64_t(r) << 32) | (pa | 1);
+                };
+                // Odd frames get a full page, even frames one word.
+                std::vector<std::uint64_t> run(pageSize / 8);
+                for (Addr f = 0; f < kFrames; ++f) {
+                    const Addr base = f * pageSize;
+                    if (f % 2) {
+                        for (Addr w = 0; w < run.size(); ++w)
+                            run[w] = word(base + 8 * w);
+                        mem.writeWords(base, run.data(), run.size());
+                    } else {
+                        mem.write64(base + 8 * (f % 512), word(base));
+                    }
+                }
+                // Drop a quarter of the frames, then refill them
+                // from the memory's own released slots.
+                mem.zeroRange(0, kFrames / 4 * pageSize);
+                for (Addr f = 0; f < kFrames / 4; ++f)
+                    mem.write64(f * pageSize + 8, word(f));
+                for (Addr pa = 0; pa < kFrames * pageSize; pa += 8) {
+                    const Addr f = pa / pageSize;
+                    std::uint64_t want = 0;
+                    if (f < kFrames / 4)
+                        want = (pa == f * pageSize + 8) ? word(f) : 0;
+                    else if (f % 2)
+                        want = word(pa);
+                    else if (pa == f * pageSize + 8 * (f % 512))
+                        want = word(f * pageSize);
+                    bad += mem.read64(pa) != want;
+                }
+                if (mem.framesInUse() != kFrames)
+                    ++bad;
+            }
+            mismatches[t] = bad;
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 void
