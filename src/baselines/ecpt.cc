@@ -17,6 +17,12 @@ EcptTable::EcptTable(Memory &mem, BuddyAllocator &allocator,
 {
     DMT_ASSERT(ways >= 2 && ways <= 4, "ECPT uses 2-4 ways");
     DMT_ASSERT(!sizes_.empty(), "ECPT needs at least one size class");
+    DMT_ASSERT(sizes_.size() <= 3, "ECPT has three size classes");
+    // hashOf() masks by slots / 8; resize() keeps the count a power
+    // of two by doubling it.
+    DMT_ASSERT(initial_slots >= 8 &&
+                   (initial_slots & (initial_slots - 1)) == 0,
+               "ECPT ways need a power-of-two slot count >= 8");
     std::uint64_t seed = 0x9b97f4a5ull;
     for (PageSize size : sizes_) {
         auto &ws = waysOf(size);
@@ -95,7 +101,7 @@ EcptTable::hashOf(const Way &way, Vpn vpn) const
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
-    return (z % (way.slots / 8)) * 8 + (vpn & 7);
+    return (z & (way.slots / 8 - 1)) * 8 + (vpn & 7);
 }
 
 Addr
@@ -149,6 +155,10 @@ EcptTable::resize(PageSize size)
     // Collect every live entry, a page of slots per read, then
     // rebuild doubled ways.
     std::vector<std::pair<Vpn, std::uint64_t>> live;
+    std::uint64_t used = 0;
+    for (const auto &w : ws)
+        used += w.used;
+    live.reserve(used);
     std::array<std::uint64_t, ptesPerPage> page{};
     for (auto &w : ws) {
         const std::uint64_t words = w.slots * (slotBytes / 8);
@@ -216,10 +226,10 @@ EcptTable::find(Addr va) const
     return std::nullopt;
 }
 
-std::vector<Addr>
-EcptTable::probeAddrs(Addr va) const
+int
+EcptTable::probeAddrs(Addr va, Addr *out) const
 {
-    std::vector<Addr> out;
+    int n = 0;
     for (PageSize size : sizes_) {
         const auto &ws = waysOf(size);
         // Hardware "way filters" skip size classes with no entries
@@ -228,9 +238,9 @@ EcptTable::probeAddrs(Addr va) const
             continue;
         const Vpn vpn = va >> pageShiftOf(size);
         for (const auto &w : ws)
-            out.push_back(slotAddr(w, hashOf(w, vpn)));
+            out[n++] = slotAddr(w, hashOf(w, vpn));
     }
-    return out;
+    return n;
 }
 
 bool
@@ -277,11 +287,13 @@ EcptNativeWalker::walk(Addr va)
     Cycles latency = 0;
     int probes = 0;
     if (cwcMiss) {
-        for (Addr addr : table_.probeAddrs(va)) {
-            if (addr == hit->entryAddr)
-                latency = caches_.access(addr);
+        Addr addrs[EcptTable::maxProbes];
+        const int n = table_.probeAddrs(va, addrs);
+        for (int i = 0; i < n; ++i) {
+            if (addrs[i] == hit->entryAddr)
+                latency = caches_.access(addrs[i]);
             else
-                caches_.accessClean(addr);
+                caches_.accessClean(addrs[i]);
             ++probes;
         }
     } else {
@@ -333,11 +345,13 @@ EcptVirtWalker::hostStep(Addr gpa, Cycles &latency, int &probes)
     if (fullProbe()) {
         // CWC miss: probe every way; the matching way's arrival
         // completes the step, the rest are discarded.
-        for (Addr addr : hostTable_.probeAddrs(hva)) {
-            if (addr == hit->entryAddr)
-                latency = std::max(latency, caches_.access(addr));
+        Addr addrs[EcptTable::maxProbes];
+        const int n = hostTable_.probeAddrs(hva, addrs);
+        for (int i = 0; i < n; ++i) {
+            if (addrs[i] == hit->entryAddr)
+                latency = std::max(latency, caches_.access(addrs[i]));
             else
-                caches_.accessClean(addr);
+                caches_.accessClean(addrs[i]);
             ++probes;
         }
     } else {
@@ -360,18 +374,19 @@ EcptVirtWalker::walk(Addr gva)
     // latency path.
     const auto ghit = guestTable_.find(gva);
     DMT_ASSERT(ghit.has_value(), "guest ECPT miss");
-    const std::vector<Addr> gProbes =
-        fullProbe() ? guestTable_.probeAddrs(gva)
-                    : std::vector<Addr>{ghit->entryAddr};
+    Addr gProbes[EcptTable::maxProbes];
+    int nProbes = 1;
+    if (fullProbe())
+        nProbes = guestTable_.probeAddrs(gva, gProbes);
+    else
+        gProbes[0] = ghit->entryAddr;
     Cycles step1 = 0;
     int probes1 = 0;
-    std::vector<Addr> gEntryHpas;
-    gEntryHpas.reserve(gProbes.size());
-    for (Addr gpa : gProbes) {
+    Addr gEntryHpas[EcptTable::maxProbes];
+    for (int i = 0; i < nProbes; ++i) {
         Cycles chain = 0;
-        const Addr hpa = hostStep(gpa, chain, probes1);
-        gEntryHpas.push_back(hpa);
-        if (gpa == ghit->entryAddr)
+        gEntryHpas[i] = hostStep(gProbes[i], chain, probes1);
+        if (gProbes[i] == ghit->entryAddr)
             step1 = chain;
     }
     rec.latency += step1 + ecptHashCycles + ecptCwcCycles;
@@ -383,7 +398,7 @@ EcptVirtWalker::walk(Addr gva)
     // Step 2: read the guest entries; the matching one completes
     // the step.
     Cycles step2 = 0;
-    for (std::size_t i = 0; i < gEntryHpas.size(); ++i) {
+    for (int i = 0; i < nProbes; ++i) {
         if (gProbes[i] == ghit->entryAddr)
             step2 = caches_.access(gEntryHpas[i]);
         else
@@ -391,7 +406,7 @@ EcptVirtWalker::walk(Addr gva)
     }
     rec.latency += step2 + ecptHashCycles;
     ++rec.seqRefs;
-    rec.parallelRefs += static_cast<int>(gEntryHpas.size()) - 1;
+    rec.parallelRefs += nProbes - 1;
     if (recordSteps_)
         rec.steps.push_back({'g', 1, step2});
     const Addr dataGpa = (ptePfn(ghit->pte) << pageShift) +

@@ -79,8 +79,15 @@ class EcptTable
     };
     std::optional<Hit> find(Addr va) const;
 
-    /** All entry addresses a hardware probe of va touches. */
-    std::vector<Addr> probeAddrs(Addr va) const;
+    /** Most probes one lookup issues: 4 ways x 3 size classes. */
+    static constexpr int maxProbes = 12;
+
+    /**
+     * All entry addresses a hardware probe of va touches, stored at
+     * `out` (room for maxProbes).
+     * @return their number
+     */
+    int probeAddrs(Addr va, Addr *out) const;
 
     Counter resizes() const { return resizes_; }
     Counter kicks() const { return kicks_; }

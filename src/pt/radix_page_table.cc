@@ -87,13 +87,6 @@ RadixPageTable::setFrameProvider(TableFrameProvider *provider)
 }
 
 int
-RadixPageTable::indexAt(Addr va, int level)
-{
-    const int shift = pageShift + 9 * (level - 1);
-    return static_cast<int>((va >> shift) & 0x1ff);
-}
-
-int
 RadixPageTable::leafLevel(PageSize size)
 {
     switch (size) {
@@ -115,13 +108,6 @@ Addr
 RadixPageTable::spanBase(Addr va, int level)
 {
     return va & ~(spanBytes(level) - 1);
-}
-
-Addr
-RadixPageTable::entrySlot(Pfn table_pfn, Addr va, int level) const
-{
-    return (table_pfn << pageShift) +
-           static_cast<Addr>(indexAt(va, level)) * pteSize;
 }
 
 Pfn
@@ -423,22 +409,6 @@ RadixPageTable::translate(Addr va) const
         cur = ptePfn(pte);
     }
     return std::nullopt;
-}
-
-WalkPath
-RadixPageTable::walkPath(Addr va) const
-{
-    WalkPath steps;
-    Pfn cur = rootPfn_;
-    for (int level = levels_; level >= 1; --level) {
-        const Addr slot = entrySlot(cur, va, level);
-        const std::uint64_t pte = win_.read(mem_, slot);
-        steps.push_back({level, slot, pte});
-        if (!pteIsPresent(pte) || (level == 1) || pteIsHuge(pte))
-            break;
-        cur = ptePfn(pte);
-    }
-    return steps;
 }
 
 void

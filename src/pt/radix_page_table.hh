@@ -84,7 +84,9 @@ struct WalkStep
  * Fixed-capacity sequence of walk steps. A radix walk touches at
  * most one PTE per level (5 with LA57), so the path lives entirely
  * on the caller's stack — walkPath() is called once per TLB miss on
- * every simulated design and must not allocate.
+ * every simulated design and must not allocate. Only the steps
+ * pushed are ever read, so the rest are left uninitialised: zeroing
+ * them would cost a 128-byte store per walk, five per 2-D walk.
  */
 class WalkPath
 {
@@ -111,7 +113,7 @@ class WalkPath
     const WalkStep *end() const { return steps_.data() + count_; }
 
   private:
-    std::array<WalkStep, capacity> steps_{};
+    std::array<WalkStep, capacity> steps_;
     std::size_t count_ = 0;
 };
 
@@ -205,7 +207,29 @@ class RadixPageTable
      * by value in a fixed-capacity WalkPath — no heap allocation on
      * the per-TLB-miss path.
      */
-    WalkPath walkPath(Addr va) const;
+    WalkPath
+    walkPath(Addr va) const
+    {
+        return walkPathFrom(va, levels_, rootPfn_);
+    }
+
+    /**
+     * walkPath() resumed below the root, as a hardware walker resumes
+     * at the table pointer its page walk cache holds: the steps from
+     * va's entry in the level-`level` table at frame `table_pfn` down
+     * to the leaf, with the same early stops. The walkers start here
+     * so they read only the PTEs they charge; the frame must be the
+     * one the tree holds at that level (a coherent PWC entry).
+     */
+    WalkPath walkPathFrom(Addr va, int level, Pfn table_pfn) const;
+
+    /**
+     * Read an aligned word of the memory this table lives in, through
+     * its read window. The 2-D walker reads each guest PTE this way,
+     * at the host-physical address it charges for it, instead of
+     * through the guest's translated view.
+     */
+    std::uint64_t readWord(Addr pa) const { return win_.read(mem_, pa); }
 
     /**
      * Functional result of one prefetch chase: the PTE slot addresses
@@ -321,7 +345,12 @@ class RadixPageTable
     std::uint64_t mappedLeaves() const { return mappedLeaves_; }
 
     /** @return radix index of va at the given level. */
-    static int indexAt(Addr va, int level);
+    static int
+    indexAt(Addr va, int level)
+    {
+        const int shift = pageShift + 9 * (level - 1);
+        return static_cast<int>((va >> shift) & 0x1ff);
+    }
 
     /** @return leaf level for a page size (1, 2, or 3). */
     static int leafLevel(PageSize size);
@@ -366,7 +395,12 @@ class RadixPageTable
     bool retireTable(int level, Addr span_base, Pfn pfn);
 
     /** @return PA of the entry slot for va within a table page. */
-    Addr entrySlot(Pfn table_pfn, Addr va, int level) const;
+    static Addr
+    entrySlot(Pfn table_pfn, Addr va, int level)
+    {
+        return (table_pfn << pageShift) +
+               static_cast<Addr>(indexAt(va, level)) * pteSize;
+    }
 
     /**
      * Walk to the table at target_level for va, allocating missing
@@ -489,6 +523,22 @@ class RadixPageTable
     InvariantAuditor *auditor_ = nullptr;
     int auditHookId_ = 0;
 };
+
+inline WalkPath
+RadixPageTable::walkPathFrom(Addr va, int level, Pfn table_pfn) const
+{
+    WalkPath steps;
+    Pfn cur = table_pfn;
+    for (; level >= 1; --level) {
+        const Addr slot = entrySlot(cur, va, level);
+        const std::uint64_t pte = win_.read(mem_, slot);
+        steps.push_back({level, slot, pte});
+        if (!pteIsPresent(pte) || (level == 1) || pteIsHuge(pte))
+            break;
+        cur = ptePfn(pte);
+    }
+    return steps;
+}
 
 } // namespace dmt
 

@@ -2,8 +2,9 @@
  * @file
  * The vanilla x86-64 hardware page walker (native environment).
  *
- * Walks the radix tree sequentially upon a TLB miss, consulting the
- * page walk cache to skip upper levels (Figure 1 of the paper). This
+ * Walks the radix tree sequentially upon a TLB miss, starting at the
+ * deepest table pointer the page walk cache holds (Figure 1 of the
+ * paper) and reading only the PTEs from there down. This
  * is both the "Vanilla Linux" baseline and the fallback path used by
  * DMT when a VA is not covered by any VMA-to-TEA register.
  */
@@ -83,13 +84,8 @@ RadixWalker::walk(Addr va)
 {
     WalkRecord rec;
     rec.path = TranslationPath::Radix;
-    const auto path = pt_.walkPath(va);
-    DMT_ASSERT(!path.empty(), "walkPath returned nothing");
-    DMT_ASSERT(pteIsPresent(path.back().pte),
-               "page fault during simulated walk at va 0x%llx",
-               static_cast<unsigned long long>(va));
-
-    // Consult the PWC: it may let us start below the root.
+    // Consult the PWC first: the walk resumes at the deepest table
+    // pointer it holds, so only the PTEs it charges are read.
     const auto hit =
         pwc_.lookup(va, pt_.levels(),
                     static_cast<Pfn>(pt_.rootPa() >> pageShift));
@@ -99,10 +95,12 @@ RadixWalker::walk(Addr va)
         ++rec.pwcHits;
     else
         ++rec.pwcMisses;
+    const auto path = pt_.walkPathFrom(va, hit.startLevel, hit.tablePfn);
+    DMT_ASSERT(pteIsPresent(path.back().pte),
+               "page fault during simulated walk at va 0x%llx",
+               static_cast<unsigned long long>(va));
 
     for (const auto &step : path) {
-        if (step.level > hit.startLevel)
-            continue;  // skipped thanks to the PWC
         const Cycles cost = caches_.access(step.pteAddr);
         rec.latency += cost;
         ++rec.seqRefs;

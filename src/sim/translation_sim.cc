@@ -215,7 +215,7 @@ TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
 
         if (tlb.level == TlbHierarchy::Result::Miss) {
             const WalkRecord rec = mech.walk(va);
-            tlbs_.insertData(va, rec.size, rec.pa, rec.linear());
+            tlbs_.fillData(va, rec.size, rec.pa, rec.linear());
             if (measuring) {
                 ++result.walks;
                 result.walkCycles += static_cast<double>(rec.latency);
@@ -388,7 +388,7 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
 
             if (tlb.level == TlbHierarchy::Result::Miss) {
                 const WalkRecord rec = mech.walk(va);
-                tlbs_.insertData(va, rec.size, rec.pa, rec.linear());
+                tlbs_.fillData(va, rec.size, rec.pa, rec.linear());
                 ++bs.walks;
                 bs.walkCycles += static_cast<Counter>(rec.latency);
                 bs.seqRefs += static_cast<Counter>(rec.seqRefs);

@@ -91,6 +91,15 @@ class Tlb
     void insert(Addr va, PageSize size, Addr pa = 0,
                 bool linear = false);
 
+    /**
+     * insert() of a page the caller knows is absent: its lookup(va)
+     * just missed at every size and nothing was installed since. The
+     * entry goes straight to the victim way, without the search for
+     * an existing entry that insert() makes first; the result is the
+     * same. Filling a resident page would duplicate it (audited).
+     */
+    void fill(Addr va, PageSize size, Addr pa = 0, bool linear = false);
+
     /** Invalidate the entry covering va, if any. */
     void invalidate(Addr va);
 
@@ -186,14 +195,19 @@ class Tlb
     int findIn(std::size_t set, std::uint64_t key) const;
 
     /**
-     * Way-count-specialized bodies behind findIn()/insert(): with a
-     * compile-time trip count (kAssoc == 0 falls back to the runtime
-     * bound) the key sweep and the victim scan unroll and vectorize.
+     * Way-count-specialized bodies behind findIn()/insert()/fill():
+     * with a compile-time trip count (kAssoc == 0 falls back to the
+     * runtime bound) the key sweep and the victim scan unroll and
+     * vectorize. kSearch selects insert()'s search for an existing
+     * entry; fill() skips it.
      */
     template <int kAssoc>
     int findInTpl(std::size_t set, std::uint64_t key) const;
-    template <int kAssoc>
+    template <int kAssoc, bool kSearch>
     void insertTpl(Addr va, PageSize size, Addr frame);
+    /** insert() (kSearch) or fill(): the associativity dispatch. */
+    template <bool kSearch>
+    void install(Addr va, PageSize size, Addr pa, bool linear);
 
     TlbConfig config_;
     std::size_t numSets_;
@@ -271,7 +285,7 @@ Tlb::lookup(Addr va)
     return std::nullopt;
 }
 
-template <int kAssoc>
+template <int kAssoc, bool kSearch>
 void
 Tlb::insertTpl(Addr va, PageSize size, Addr frame)
 {
@@ -280,11 +294,13 @@ Tlb::insertTpl(Addr va, PageSize size, Addr frame)
     const Vpn vpn = va >> pageShiftOf(size);
     const std::size_t set = setIndex(vpn);
     const std::size_t base = set * assoc;
-    if (const int way = findInTpl<kAssoc>(set, keyOf(vpn, size));
-        way >= 0) {
-        lastUse_[base + way] = tick_;
-        frames_[base + way] = frame;
-        return;
+    if constexpr (kSearch) {
+        if (const int way = findInTpl<kAssoc>(set, keyOf(vpn, size));
+            way >= 0) {
+            lastUse_[base + way] = tick_;
+            frames_[base + way] = frame;
+            return;
+        }
     }
     // First-minimum scan of the stamps: invalid ways sit at 0, below
     // every valid stamp, so this picks the first invalid way if one
@@ -300,23 +316,36 @@ Tlb::insertTpl(Addr va, PageSize size, Addr frame)
     frames_[victim] = frame;
 }
 
-inline void
-Tlb::insert(Addr va, PageSize size, Addr pa, bool linear)
+template <bool kSearch>
+void
+Tlb::install(Addr va, PageSize size, Addr pa, bool linear)
 {
     const Addr frame =
         linear ? pageAlignDown(pa, size) | kLinear : Addr{0};
     switch (config_.associativity) {
       case 4:
-        return insertTpl<4>(va, size, frame);
+        return insertTpl<4, kSearch>(va, size, frame);
       case 8:
-        return insertTpl<8>(va, size, frame);
+        return insertTpl<8, kSearch>(va, size, frame);
       case 12:
-        return insertTpl<12>(va, size, frame);
+        return insertTpl<12, kSearch>(va, size, frame);
       case 16:
-        return insertTpl<16>(va, size, frame);
+        return insertTpl<16, kSearch>(va, size, frame);
       default:
-        return insertTpl<0>(va, size, frame);
+        return insertTpl<0, kSearch>(va, size, frame);
     }
+}
+
+inline void
+Tlb::insert(Addr va, PageSize size, Addr pa, bool linear)
+{
+    install<true>(va, size, pa, linear);
+}
+
+inline void
+Tlb::fill(Addr va, PageSize size, Addr pa, bool linear)
+{
+    install<false>(va, size, pa, linear);
 }
 
 /**
@@ -350,7 +379,8 @@ class TlbHierarchy
 
     /**
      * Probe L1D then the STLB. An STLB hit refills the L1D with the
-     * entry's size and translation.
+     * entry's size and translation (a search-free Tlb::fill: the L1D
+     * lookup just missed).
      */
     Lookup lookupData(Addr va);
 
@@ -360,6 +390,14 @@ class TlbHierarchy
      * only when `linear` (WalkRecord::linear()).
      */
     void insertData(Addr va, PageSize size, Addr pa, bool linear);
+
+    /**
+     * insertData() right after lookupData(va) missed at both levels,
+     * with no TLB change in between (the simulator's walk-and-fill):
+     * Tlb::fill() at each level, so neither searches its set again.
+     * Leaves the TLBs exactly as insertData() would.
+     */
+    void fillData(Addr va, PageSize size, Addr pa, bool linear);
 
     /**
      * Read-only screen: would lookupData(va) hit either level right
@@ -417,7 +455,7 @@ TlbHierarchy::lookupData(Addr va)
     if (const auto hit = l1d_.lookup(va))
         return {Result::L1Hit, hit->size, hit->linear, hit->pa};
     if (const auto hit = stlb_.lookup(va)) {
-        l1d_.insert(va, hit->size, hit->pa, hit->linear);
+        l1d_.fill(va, hit->size, hit->pa, hit->linear);
         DMT_AUDIT_EVENT(auditor_);
         return {Result::L2Hit, hit->size, hit->linear, hit->pa};
     }
@@ -429,6 +467,14 @@ TlbHierarchy::insertData(Addr va, PageSize size, Addr pa, bool linear)
 {
     l1d_.insert(va, size, pa, linear);
     stlb_.insert(va, size, pa, linear);
+    DMT_AUDIT_EVENT(auditor_);
+}
+
+inline void
+TlbHierarchy::fillData(Addr va, PageSize size, Addr pa, bool linear)
+{
+    l1d_.fill(va, size, pa, linear);
+    stlb_.fill(va, size, pa, linear);
     DMT_AUDIT_EVENT(auditor_);
 }
 

@@ -66,13 +66,16 @@ Addr
 NestedWalker::hostWalk(Addr gpa, WalkRecord &rec, PageSize *leaf_size)
 {
     const Addr hva = gpaToHva_(gpa);
-    const auto path = hostPt_.walkPath(hva);
-    DMT_ASSERT(pteIsPresent(path.back().pte),
-               "host page fault during nested walk (gpa 0x%llx)",
-               static_cast<unsigned long long>(gpa));
+    // The host walk resumes at the deepest host table the nested PWC
+    // points at, reading only the PTEs it charges.
     const auto hit = nestedPwc_.lookup(
         hva, hostPt_.levels(),
         static_cast<Pfn>(hostPt_.rootPa() >> pageShift));
+    const auto path =
+        hostPt_.walkPathFrom(hva, hit.startLevel, hit.tablePfn);
+    DMT_ASSERT(pteIsPresent(path.back().pte),
+               "host page fault during nested walk (gpa 0x%llx)",
+               static_cast<unsigned long long>(gpa));
     rec.latency += nestedPwc_.latency();
     ++rec.nestedWalks;
     if (hit.hit)
@@ -80,8 +83,6 @@ NestedWalker::hostWalk(Addr gpa, WalkRecord &rec, PageSize *leaf_size)
     else
         ++rec.nestedPwcMisses;
     for (const auto &step : path) {
-        if (step.level > hit.startLevel)
-            continue;
         const Cycles cost = caches_.access(step.pteAddr);
         rec.latency += cost;
         ++rec.seqRefs;
@@ -113,10 +114,6 @@ NestedWalker::walk(Addr gva)
 {
     WalkRecord rec;
     rec.path = TranslationPath::Nested;
-    const auto gpath = guestPt_.walkPath(gva);
-    DMT_ASSERT(pteIsPresent(gpath.back().pte),
-               "guest page fault during nested walk (gva 0x%llx)",
-               static_cast<unsigned long long>(gva));
 
     // The guest-dimension PWC caches *host* frames of guest tables,
     // skipping both the upper guest levels and their host walks.
@@ -128,42 +125,57 @@ NestedWalker::walk(Addr gva)
         ++rec.pwcHits;
     else
         ++rec.pwcMisses;
-    const bool pwcHit = ghit.startLevel < guestPt_.levels();
 
-    for (const auto &step : gpath) {
-        if (step.level > ghit.startLevel)
-            continue;
+    // Each guest PTE is read where the walk charges it: at its host
+    // address, through the host table's read window. The guest frame
+    // of the next table comes from the PTE above it (the root's from
+    // the guest CR3); a PWC hit supplies the first table's host frame
+    // directly.
+    Pfn tableGuestFrame =
+        static_cast<Pfn>(guestPt_.rootPa() >> pageShift);
+    std::uint64_t pte = 0;
+    int level = ghit.startLevel;
+    for (;; --level) {
+        const Addr offset =
+            static_cast<Addr>(RadixPageTable::indexAt(gva, level)) *
+            pteSize;
         // Host frame of the table holding this guest PTE.
         Pfn tableHostFrame;
-        slotBase_ = 5 * (4 - step.level);
-        if (pwcHit && step.level == ghit.startLevel) {
+        slotBase_ = 5 * (4 - level);
+        if (ghit.hit && level == ghit.startLevel) {
             tableHostFrame = ghit.tablePfn;
         } else {
-            const Addr slotHpa = hostWalk(step.pteAddr, rec);
+            const Addr slotHpa =
+                hostWalk((tableGuestFrame << pageShift) + offset, rec);
             tableHostFrame = slotHpa >> pageShift;
-            if (step.level <= 3)
-                guestPwc_.fill(gva, step.level, tableHostFrame);
+            if (level <= 3)
+                guestPwc_.fill(gva, level, tableHostFrame);
         }
-        const Addr pteHpa = (tableHostFrame << pageShift) |
-                            (step.pteAddr & pageMask);
+        const Addr pteHpa = (tableHostFrame << pageShift) | offset;
         const Cycles cost = caches_.access(pteHpa);
         rec.latency += cost;
         ++rec.seqRefs;
         if (recordSteps_)
             rec.steps.push_back(
-                {'g', static_cast<std::int8_t>(step.level), cost,
-                 static_cast<std::int8_t>(5 * (4 - step.level) + 5),
+                {'g', static_cast<std::int8_t>(level), cost,
+                 static_cast<std::int8_t>(5 * (4 - level) + 5),
                  pteHpa});
+        pte = hostPt_.readWord(pteHpa);
+        DMT_ASSERT(pteIsPresent(pte),
+                   "guest page fault during nested walk (gva 0x%llx)",
+                   static_cast<unsigned long long>(gva));
+        if (level == 1 || pteIsHuge(pte))
+            break;
+        tableGuestFrame = ptePfn(pte);
     }
 
     // Final host walk for the data page's guest-physical address.
-    const auto &gleaf = gpath.back();
     PageSize gsize = PageSize::Size4K;
-    if (gleaf.level == 2)
+    if (level == 2)
         gsize = PageSize::Size2M;
-    else if (gleaf.level == 3)
+    else if (level == 3)
         gsize = PageSize::Size1G;
-    const Addr dataGpa = (ptePfn(gleaf.pte) << pageShift) +
+    const Addr dataGpa = (ptePfn(pte) << pageShift) +
                          (gva & (pageBytesOf(gsize) - 1));
     slotBase_ = 20;
     PageSize hsize = PageSize::Size4K;

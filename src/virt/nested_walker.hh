@@ -7,7 +7,9 @@
  * be resolved through the host page table — up to 24 sequential
  * memory references for 4-level tables. Guest-dimension and
  * host-dimension page walk caches (PWC and nested PWC, Table 3) skip
- * the upper levels they have seen before.
+ * the upper levels they have seen before: each dimension's walk
+ * starts at the deepest table pointer its PWC holds, and every guest
+ * PTE is read at the host-physical address the walk charges for it.
  *
  * The same class also implements the *shadow paging* baseline's walk
  * for nested virtualization, by passing the shadow table as the host
@@ -100,9 +102,10 @@ class NestedWalker : public TranslationMechanism
                        const std::string &name = "pwc-2d");
 
     /**
-     * Walk the host dimension for one guest-physical address,
-     * charging every reference into `rec`. The host leaf size is
-     * stored through `leaf_size` when it is non-null.
+     * Walk the host dimension for one guest-physical address from the
+     * deepest host table the nested PWC points at, charging every
+     * reference into `rec`. The host leaf size is stored through
+     * `leaf_size` when it is non-null.
      * @return the host-physical address backing gpa
      */
     Addr hostWalk(Addr gpa, WalkRecord &rec,

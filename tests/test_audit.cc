@@ -5,7 +5,9 @@
  * machine, and — the point of the exercise — detection of each
  * deliberately injected corruption: a scribbled TEA-backed table
  * pointer, a buddy double free, a stale TLB entry, a TLB entry whose
- * carried frame went stale, and broken cache-set recency order.
+ * carried frame went stale, PWC pointers (radix and both 2-D
+ * dimensions) left stale by a table move, and broken cache-set
+ * recency order.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +19,14 @@
 #include "core/mapping_manager.hh"
 #include "core/tea_manager.hh"
 #include "mem/cache.hh"
+#include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
 #include "os/address_space.hh"
 #include "pt/pte.hh"
+#include "sim/radix_walker.hh"
 #include "tlb/tlb.hh"
+#include "virt/nested_walker.hh"
+#include "virt/virtual_machine.hh"
 
 namespace dmt
 {
@@ -63,6 +69,19 @@ anyFrom(const std::vector<AuditViolation> &violations,
     return std::any_of(violations.begin(), violations.end(),
                        [&](const AuditViolation &v) {
                            return v.checker == checker;
+                       });
+}
+
+/** @return true if `checker` reported a detail containing `text`. */
+bool
+anyFromWith(const std::vector<AuditViolation> &violations,
+            const std::string &checker, const std::string &text)
+{
+    return std::any_of(violations.begin(), violations.end(),
+                       [&](const AuditViolation &v) {
+                           return v.checker == checker &&
+                                  v.detail.find(text) !=
+                                      std::string::npos;
                        });
 }
 
@@ -326,6 +345,79 @@ TEST_F(AuditFixture, RemappedTlbFrameIsDetected)
     mem.write64(leaf.pteAddr, leaf.pte);
     alloc.freePages(*stray, 0);
     proc.munmap(va);
+}
+
+// A walk starts at the table pointer its PWC holds, so a pointer a
+// table move left stale would be read on the next walk. These inject
+// the move without the PWC shootdown it needs.
+TEST_F(AuditFixture, StaleRadixPwcPointerIsDetected)
+{
+    const Addr va = 0x50000000;
+    proc.mmapAt(va, hugePageSize, VmaKind::Heap);
+    MemoryHierarchy caches;
+    RadixWalker walker(proc.pageTable(), caches);
+    walker.attachAuditor(auditor);
+    walker.walk(va);
+    const WalkRecord rec = walker.walk(va + pageSize);
+    ASSERT_EQ(rec.pwcStartLevel, 1);  // followed the L1-table pointer
+    EXPECT_EQ(auditor.sweep(), 0u);
+
+    proc.pageTable().relocateLeafTableToScattered(va, 1);
+    EXPECT_GT(auditor.sweep(), 0u);
+    EXPECT_TRUE(anyFrom(auditor.violations(), "pwc"));
+
+    walker.flush();
+    auditor.clearViolations();
+    EXPECT_EQ(auditor.sweep(), 0u);
+    proc.munmap(va);
+}
+
+TEST_F(AuditFixture, StaleTwoDimensionalPwcPointersAreDetected)
+{
+    VmConfig cfg;
+    cfg.vmBytes = Addr{256} << 20;
+    VirtualMachine vm(mem, alloc, cfg);
+    AddressSpace &guest = vm.guestSpace();
+    RadixPageTable &hostPt = vm.containerSpace().pageTable();
+    const Addr gva = 0x10000000;
+    guest.mmapAt(gva, hugePageSize, VmaKind::Heap);
+    MemoryHierarchy caches;
+    NestedWalker walker(guest.pageTable(), hostPt,
+                        NestedWalker::GpaToHostVa{vm.gpaToHva(0)},
+                        caches);
+    walker.attachAuditor(auditor);
+    const auto fill = [&] {
+        walker.walk(gva);
+        const WalkRecord rec = walker.walk(gva + pageSize);
+        EXPECT_EQ(rec.pwcStartLevel, 1);
+        EXPECT_GT(rec.nestedPwcHits, 0);
+        EXPECT_EQ(auditor.sweep(), 0u);
+    };
+
+    // Guest dimension: the guest leaf table moves to another guest
+    // frame, so the host frame the guest PWC caches for it is stale.
+    fill();
+    guest.pageTable().relocateLeafTableToScattered(gva, 1);
+    EXPECT_GT(auditor.sweep(), 0u);
+    EXPECT_TRUE(
+        anyFromWith(auditor.violations(), "pwc-2d", "guest-pwc"));
+    walker.flush();
+    auditor.clearViolations();
+    EXPECT_EQ(auditor.sweep(), 0u);
+
+    // Host dimension: the host leaf table backing the data page
+    // moves, so the nested PWC's pointer to it is stale.
+    fill();
+    const Addr dataHva =
+        vm.gpaToHva(guest.pageTable().translate(gva)->pa);
+    hostPt.relocateLeafTableToScattered(dataHva, 1);
+    EXPECT_GT(auditor.sweep(), 0u);
+    EXPECT_TRUE(
+        anyFromWith(auditor.violations(), "pwc-2d", "nested-pwc"));
+    walker.flush();
+    auditor.clearViolations();
+    EXPECT_EQ(auditor.sweep(), 0u);
+    guest.munmap(gva);
 }
 
 TEST(CacheAudit, BrokenRecencyOrderIsDetected)

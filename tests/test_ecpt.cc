@@ -67,11 +67,12 @@ TEST(Ecpt, ProbeAddrsCoverAllWaysAndSizes)
     EcptTable ecpt(mem, alloc,
                    {PageSize::Size4K, PageSize::Size2M}, 2, 1024);
     // Empty size classes are filtered out of the probe set.
-    EXPECT_EQ(ecpt.probeAddrs(0x12345678).size(), 0u);
+    Addr addrs[EcptTable::maxProbes];
+    EXPECT_EQ(ecpt.probeAddrs(0x12345678, addrs), 0);
     ecpt.insert(0x1000, 1, PageSize::Size4K);
-    EXPECT_EQ(ecpt.probeAddrs(0x12345678).size(), 2u);
+    EXPECT_EQ(ecpt.probeAddrs(0x12345678, addrs), 2);
     ecpt.insert(0x200000, 2, PageSize::Size2M);
-    EXPECT_EQ(ecpt.probeAddrs(0x12345678).size(), 4u);
+    EXPECT_EQ(ecpt.probeAddrs(0x12345678, addrs), 4);
 }
 
 } // namespace

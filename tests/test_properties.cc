@@ -4,8 +4,9 @@
  * span populate against per-page touch(), directProbe
  * micro-behaviour, buddy order sweeps, TLB/cache
  * geometry sweeps, the recency-ordered cache in lockstep with a
- * stamp-LRU model, EPT huge pages in the nested walker, and
- * calibration sanity against the paper's reported averages.
+ * stamp-LRU model, EPT huge pages in the nested walker, calibration
+ * sanity against the paper's reported averages, and the search-free
+ * TLB fill against insertData().
  */
 
 #include <gtest/gtest.h>
@@ -1010,6 +1011,86 @@ TEST(CoreRegFileProperties, AllPinnedFileRefusesNewResidency)
     EXPECT_EQ(file.resident(2), 0);
     // The pinned owner still hits its own entries.
     EXPECT_TRUE(file.touch(1, 0, false).hit);
+}
+
+// ------------------------------------------------------ TLB fills
+
+/** Both levels of two hierarchies hold the same pages. */
+void
+expectSameResidency(const TlbHierarchy &a, const TlbHierarchy &b,
+                    Addr small_pages, Addr huge_base, Addr huge_pages)
+{
+    for (Addr p = 0; p < small_pages; ++p) {
+        const Addr va = p << pageShift;
+        ASSERT_EQ(a.l1d().probe(va), b.l1d().probe(va)) << va;
+        ASSERT_EQ(a.stlb().probe(va), b.stlb().probe(va)) << va;
+    }
+    for (Addr p = 0; p < huge_pages; ++p) {
+        const Addr va = huge_base + p * hugePageSize;
+        ASSERT_EQ(a.l1d().probe(va), b.l1d().probe(va)) << va;
+        ASSERT_EQ(a.stlb().probe(va), b.stlb().probe(va)) << va;
+    }
+}
+
+TEST(TlbFillProperties, FillDataAfterMissMatchesInsertData)
+{
+    // A 4 KB region and a 2 MB region, each a few times the STLB's
+    // reach, so sets fill, evict and re-reference at both sizes.
+    constexpr Addr smallPages = 512;
+    constexpr Addr hugeBase = Addr{1} << 30;
+    constexpr Addr hugePages = 48;
+    const TlbConfig l1d{"l1d", 16, 4};
+    const TlbConfig l1i{"l1i", 16, 4};
+    const TlbConfig stlb{"stlb", 96, 12};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(0x7FB1F000u + seed);
+        TlbHierarchy filled(l1d, l1i, stlb);
+        TlbHierarchy inserted(l1d, l1i, stlb);
+        for (int op = 0; op < 20'000; ++op) {
+            const bool huge = rng.below(4) == 0;
+            const Addr va =
+                huge ? hugeBase + rng.below(hugePages * hugePageSize)
+                     : rng.below(smallPages << pageShift);
+            const std::uint64_t kind = rng.below(200);
+            if (kind == 0) {
+                filled.flush();
+                inserted.flush();
+                continue;
+            }
+            if (kind < 4) {
+                filled.stlb().invalidate(va);
+                inserted.stlb().invalidate(va);
+                continue;
+            }
+            const auto lf = filled.lookupData(va);
+            const auto li = inserted.lookupData(va);
+            ASSERT_EQ(lf.level, li.level) << "seed " << seed
+                                          << " op " << op;
+            ASSERT_EQ(lf.size, li.size);
+            ASSERT_EQ(lf.linear, li.linear);
+            ASSERT_EQ(lf.pa, li.pa);
+            if (lf.level != TlbHierarchy::Result::Miss)
+                continue;
+            const PageSize size =
+                huge ? PageSize::Size2M : PageSize::Size4K;
+            // Any frame will do; keep it a function of the page.
+            const Addr pa = (pageAlignDown(va, size) * 7) &
+                            ((Addr{1} << 40) - 1);
+            const bool linear = rng.below(2) == 0;
+            filled.fillData(va, size, pa + (va & pageMask), linear);
+            inserted.insertData(va, size, pa + (va & pageMask), linear);
+            if (op % 997 == 0)
+                expectSameResidency(filled, inserted, smallPages,
+                                    hugeBase, hugePages);
+        }
+        expectSameResidency(filled, inserted, smallPages, hugeBase,
+                            hugePages);
+        EXPECT_EQ(filled.l1d().hits(), inserted.l1d().hits());
+        EXPECT_EQ(filled.l1d().misses(), inserted.l1d().misses());
+        EXPECT_EQ(filled.stlb().hits(), inserted.stlb().hits());
+        EXPECT_EQ(filled.stlb().misses(), inserted.stlb().misses());
+        EXPECT_GT(filled.stlb().hits(), 0u);
+    }
 }
 
 } // namespace
