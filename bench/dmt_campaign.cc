@@ -8,7 +8,7 @@
  *                [--workloads A,B,...] [--envs native,virt,nested]
  *                [--designs vanilla,dmt,...] [--thp]
  *                [--scale N] [--accesses N] [--warmup N] [--seed N]
- *                [--batch N] [--events-dir DIR] [--list] [--quiet]
+ *                [--events-dir DIR] [--list] [--quiet]
  *
  * Every cell runs on its own shared-nothing testbed with an RNG seed
  * derived from (base seed, cell identity), so the merged JSON is
@@ -61,8 +61,7 @@ usage(const char *argv0)
         "          [--designs vanilla,shadow,fpt,ecpt,agile,asap,"
         "dmt,pvdmt]\n"
         "          [--thp] [--scale N] [--accesses N] [--warmup N]\n"
-        "          [--seed N] [--batch N (1 = scalar loop)]\n"
-        "          [--events-dir DIR] [--list] [--quiet]\n",
+        "          [--seed N] [--events-dir DIR] [--list] [--quiet]\n",
         argv0);
     std::exit(2);
 }
@@ -124,15 +123,6 @@ parse(int argc, char **argv)
             opt.campaign.sim.warmupAccesses = count();
         else if (arg == "--seed")
             opt.campaign.baseSeed = count();
-        else if (arg == "--batch") {
-            // Result-invariant knob: any batch size must produce a
-            // byte-identical BENCH_campaign.json (CI diffs --batch 1
-            // against the default), so it is deliberately absent
-            // from the emitted config block.
-            opt.campaign.sim.batchSize = count();
-            if (opt.campaign.sim.batchSize == 0)
-                usage(argv[0]);
-        }
         else if (arg == "--events-dir")
             opt.campaign.eventsDir = value();
         else if (arg == "--list") opt.list = true;

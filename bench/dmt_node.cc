@@ -8,7 +8,7 @@
  *            [--cores N] [--workloads A,B,...] [--env E]
  *            [--design D] [--thp] [--slice N] [--policy tagged|full]
  *            [--weighted] [--migrate N] [--pinned N] [--scale N]
- *            [--accesses N] [--warmup N] [--seed N] [--batch N]
+ *            [--accesses N] [--warmup N] [--seed N]
  *            [--events-dir DIR] [--host-events FILE] [--quiet]
  *
  * Every sweep point is a shared-nothing HostNode whose tenant seeds
@@ -59,7 +59,7 @@ usage(const char *argv0)
         "          [--slice N (accesses; 0 = run-to-completion)]\n"
         "          [--policy tagged|full] [--weighted] [--migrate N]\n"
         "          [--pinned N] [--scale N] [--accesses N]\n"
-        "          [--warmup N] [--seed N] [--batch N]\n"
+        "          [--warmup N] [--seed N]\n"
         "          [--events-dir DIR] [--host-events FILE] [--quiet]\n",
         argv0);
     std::exit(2);
@@ -141,13 +141,6 @@ parse(int argc, char **argv)
             opt.sweep.sim.warmupAccesses = count();
         else if (arg == "--seed")
             opt.sweep.baseSeed = count();
-        else if (arg == "--batch") {
-            // Result-invariant (the batch-partition contract); kept
-            // out of the emitted config block like dmt-campaign.
-            opt.sweep.sim.batchSize = count();
-            if (opt.sweep.sim.batchSize == 0)
-                usage(argv[0]);
-        }
         else if (arg == "--events-dir") opt.eventsDir = value();
         else if (arg == "--host-events") opt.hostEvents = value();
         else if (arg == "--quiet") opt.quiet = true;

@@ -22,8 +22,7 @@
  * non-deterministic; like the campaign timing sidecar they are
  * informational only and never part of a byte-compared artifact. The
  * checked-in BENCH_microbench.json snapshot is produced by a plain
- * Release build (no DMT_NATIVE), whose SIMD backend on x86-64 is
- * SSE2; the JSON config block records which backend was compiled in.
+ * Release build (no DMT_NATIVE).
  */
 
 #include <chrono>
@@ -39,7 +38,6 @@
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "common/simd.hh"
 #include "common/stats.hh"
 #include "driver/cli.hh"
 #include "driver/json.hh"
@@ -300,7 +298,7 @@ benchWalk(const std::string &name, Design design, std::uint64_t ops,
 /** End-to-end trace loop: TLBs + mechanism + caches. */
 BenchResult
 benchEndToEnd(const std::string &name, Design design,
-              std::uint64_t accesses, std::uint64_t batch, int reps)
+              std::uint64_t accesses, int reps)
 {
     auto workload = makeWorkload("GUPS", kScale);
     NativeTestbed tb(workload->footprintBytes(),
@@ -314,7 +312,6 @@ benchEndToEnd(const std::string &name, Design design,
     SimConfig config;
     config.warmupAccesses = accesses / 5;
     config.measureAccesses = accesses;
-    config.batchSize = batch;
     return repeat(name,
                   config.warmupAccesses + config.measureAccesses,
                   reps, [&] {
@@ -344,18 +341,11 @@ main(int argc, char **argv)
     results.push_back(
         benchWalk("dmt.fetch", Design::Dmt, walkOps, opt.reps));
     results.push_back(benchEndToEnd("e2e.vanilla", Design::Vanilla,
-                                    walkOps, kDefaultSimBatch,
-                                    opt.reps));
-    results.push_back(benchEndToEnd("e2e.dmt", Design::Dmt, walkOps,
-                                    kDefaultSimBatch, opt.reps));
-    results.push_back(benchEndToEnd("e2e.vanilla.scalar",
-                                    Design::Vanilla, walkOps, 1,
-                                    opt.reps));
-    results.push_back(benchEndToEnd("e2e.dmt.scalar", Design::Dmt,
-                                    walkOps, 1, opt.reps));
+                                    walkOps, opt.reps));
+    results.push_back(
+        benchEndToEnd("e2e.dmt", Design::Dmt, walkOps, opt.reps));
 
     if (!opt.quiet) {
-        std::printf("simd backend: %s\n", simd::backendName());
         std::printf("%-18s %12s %5s %10s %14s %8s\n", "subsystem",
                     "ops", "reps", "best s", "accesses/sec",
                     "rel sd");
@@ -381,7 +371,6 @@ main(int argc, char **argv)
         json.field("reps", static_cast<std::uint64_t>(opt.reps));
         json.field("workload", "GUPS");
         json.field("scale_denominator", 1.0 / kScale);
-        json.field("simd", simd::backendName());
         json.endObject();
         json.key("results");
         json.beginArray();

@@ -5,7 +5,7 @@
  *
  *   dmtsim [--workload NAME] [--design NAME] [--env native|virt|
  *          nested] [--thp] [--scale N] [--accesses N] [--warmup N]
- *          [--seed N] [--batch N] [--audit[=N]] [--json FILE]
+ *          [--seed N] [--audit[=N]] [--json FILE] [--events FILE]
  *          [--record-trace FILE | --trace FILE]
  *
  * --json writes the cell's results in the same schema as one entry
@@ -54,7 +54,6 @@ struct Options
     std::uint64_t accesses = 1'000'000;
     std::uint64_t warmup = 200'000;
     std::uint64_t seed = 42;
-    std::uint64_t batch = kDefaultSimBatch;
     std::string recordTrace;
     std::string traceFile;
     std::string jsonOut;
@@ -73,7 +72,6 @@ usage(const char *argv0)
         "pvdmt]\n"
         "          [--env native|virt|nested] [--thp] [--scale N]\n"
         "          [--accesses N] [--warmup N] [--seed N]\n"
-        "          [--batch N (1 = scalar loop)]\n"
         "          [--audit[=N]] [--json FILE] [--events FILE]\n"
         "          [--record-trace FILE] [--trace FILE]\n",
         argv0);
@@ -110,11 +108,6 @@ parse(int argc, char **argv)
         else if (arg == "--accesses") opt.accesses = count(value());
         else if (arg == "--warmup") opt.warmup = count(value());
         else if (arg == "--seed") opt.seed = count(value());
-        else if (arg == "--batch") {
-            opt.batch = count(value());
-            if (opt.batch == 0)
-                usage(argv[0]);
-        }
         else if (arg == "--json") opt.jsonOut = value();
         else if (arg == "--events") opt.eventsOut = value();
         else if (arg.rfind("--events=", 0) == 0)
@@ -191,9 +184,6 @@ main(int argc, char **argv)
     SimConfig simCfg;
     simCfg.warmupAccesses = opt.warmup;
     simCfg.measureAccesses = opt.accesses;
-    // Result-invariant (asserted by the batch differential suite):
-    // any batch size yields identical counters and event streams.
-    simCfg.batchSize = opt.batch;
 
     auto makeTrace = [&]() -> std::unique_ptr<TraceSource> {
         if (!opt.traceFile.empty())

@@ -18,66 +18,6 @@ DmtNativeFetcher::DmtNativeFetcher(const DmtRegisterFile &regs,
 {
 }
 
-void
-DmtNativeFetcher::prefetchWalks(const Addr *vas, std::size_t n)
-{
-    fallbackVas_.clear();
-    constexpr std::size_t kLanes = 64;
-    for (std::size_t chunk = 0; chunk < n; chunk += kLanes) {
-        const std::size_t m = std::min(kLanes, n - chunk);
-        Addr addr[kLanes][3];
-        PageSize size[kLanes][3];
-        int cnt[kLanes];
-        // Round A: compute every lane's probe addresses and pull the
-        // PTE words and their cache-model sets hostward in parallel.
-        for (std::size_t i = 0; i < m; ++i) {
-            cnt[i] = 0;
-            const DmtRegister *matches[3];
-            if (regs_.matchAll(vas[chunk + i], matches) == 0)
-                continue;
-            for (int s = 0; s < 3; ++s) {
-                const DmtRegister *reg = matches[s];
-                // Native registers never indirect through a gTEA;
-                // leave any that do to the real walk.
-                if (!reg || reg->gteaId >= 0)
-                    continue;
-                const Addr pteAddr =
-                    reg->tea.pteAddr(vas[chunk + i]);
-                addr[i][cnt[i]] = pteAddr;
-                size[i][cnt[i]] = reg->tea.leafSize;
-                ++cnt[i];
-                mem_.hostPrefetch64(pteAddr);
-                caches_.hostPrefetch(pteAddr);
-            }
-        }
-        // Round B: functionally read each winner PTE (warmed above)
-        // and warm the data address's cache-model sets. Lanes no TEA
-        // serves will take the fallback walker — let it prefetch too.
-        for (std::size_t i = 0; i < m; ++i) {
-            bool served = false;
-            for (int k = 0; k < cnt[i]; ++k) {
-                const std::uint64_t pte =
-                    win_.read(mem_, addr[i][k]);
-                if (!pteIsPresent(pte))
-                    continue;
-                const int level =
-                    RadixPageTable::leafLevel(size[i][k]);
-                if (level > 1 && !pteIsHuge(pte))
-                    continue;
-                caches_.hostPrefetch(
-                    dmtLeafPa(pte, size[i][k], vas[chunk + i]));
-                served = true;
-                break;
-            }
-            if (!served)
-                fallbackVas_.push_back(vas[chunk + i]);
-        }
-    }
-    if (!fallbackVas_.empty())
-        fallback_.prefetchWalks(fallbackVas_.data(),
-                                fallbackVas_.size());
-}
-
 DmtVirtFetcher::DmtVirtFetcher(const DmtRegisterFile &guest_regs,
                                const DmtRegisterFile &host_regs,
                                VirtualMachine &vm,

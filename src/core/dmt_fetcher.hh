@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "core/dmt_registers.hh"
 #include "core/gtea_table.hh"
@@ -113,22 +112,11 @@ class DmtNativeFetcher final : public TranslationMechanism
     WalkRecord walk(Addr va) override;
     Addr resolve(Addr va) override;
 
-    /**
-     * Host-cache warmup: probe-address round first (all lanes'
-     * leaf-PTE words pulled in parallel), then a functional read of
-     * each winner to warm the data address's cache-model sets.
-     * Unmatched or non-present lanes are forwarded to the fallback
-     * walker's own prefetch. No simulated effect.
-     */
-    void prefetchWalks(const Addr *vas, std::size_t n) override;
-
     void flush() override { fallback_.flush(); }
 
     const FetcherStats &stats() const { return fetcherStats_; }
 
   private:
-    /** prefetchWalks() lanes that will take the fallback walker. */
-    std::vector<Addr> fallbackVas_;
     const DmtRegisterFile &regs_;
     const RadixPageTable &pt_;
     const Memory &mem_;

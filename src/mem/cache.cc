@@ -27,18 +27,6 @@ Cache::Cache(const CacheConfig &config) : config_(config)
 }
 
 void
-Cache::hostPrefetch(Addr addr) const
-{
-    const std::size_t base = setIndex(addr) * config_.associativity;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(&tags_[base]);
-    const std::size_t span =
-        sizeof(Addr) * static_cast<std::size_t>(config_.associativity);
-    for (std::size_t off = 0; off < span; off += 64)
-        __builtin_prefetch(bytes + off, 1, 3);
-}
-
-void
 Cache::insert(Addr addr)
 {
     Addr *set = &tags_[setIndex(addr) * config_.associativity];

@@ -69,12 +69,6 @@ class Cache
      */
     bool accessFill(Addr addr);
 
-    /**
-     * Pull the set that addr indexes to into the *host* CPU's caches
-     * ahead of an access()/insert(). No simulated effect whatsoever.
-     */
-    void hostPrefetch(Addr addr) const;
-
     /** Invalidate the line containing addr if present. */
     void invalidate(Addr addr);
 

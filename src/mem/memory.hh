@@ -81,14 +81,6 @@ class Memory
     /** Read an aligned 64-bit word; unwritten words read as zero. */
     virtual std::uint64_t read64(Addr pa) const = 0;
 
-    /**
-     * Hint that read64(pa) is imminent: pull the backing word toward
-     * the *host* CPU's caches. Purely a host-side optimization — no
-     * simulated state changes, and the default is a no-op, so every
-     * Memory implementation stays correct without overriding it.
-     */
-    virtual void hostPrefetch64(Addr /*pa*/) const {}
-
     /** Write an aligned 64-bit word. */
     virtual void write64(Addr pa, std::uint64_t value) = 0;
 

@@ -99,20 +99,6 @@ class MemoryHierarchy
      */
     void prefetch(Addr pa);
 
-    /**
-     * Pull the sets pa indexes to — at every level — into the host
-     * CPU's caches ahead of an access(). Purely a host-side hint with
-     * zero simulated effect; the batched pipeline issues these for
-     * upcoming PTE and data addresses.
-     */
-    void
-    hostPrefetch(Addr pa) const
-    {
-        l1d_.hostPrefetch(pa);
-        l2_.hostPrefetch(pa);
-        llc_.hostPrefetch(pa);
-    }
-
     /** Invalidate a line everywhere (e.g. after PTE migration). */
     void invalidate(Addr pa);
 

@@ -61,15 +61,6 @@ class PhysicalMemory : public Memory
         return {dir_, pool_.words(), size_};
     }
 
-    /** Pull the word's backing storage into host caches. */
-    void
-    hostPrefetch64(Addr pa) const override
-    {
-        // Out-of-range addresses are left for read64() to diagnose.
-        if (pa < size_)
-            __builtin_prefetch(wordAt(pa), 0, 1);
-    }
-
     /** Write an aligned 64-bit word. */
     void write64(Addr pa, std::uint64_t value) override;
 

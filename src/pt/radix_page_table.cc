@@ -1,7 +1,5 @@
 #include "pt/radix_page_table.hh"
 
-#include <algorithm>
-
 #include "check/audit.hh"
 #include "common/log.hh"
 #include "common/ordered.hh"
@@ -84,17 +82,6 @@ void
 RadixPageTable::setFrameProvider(TableFrameProvider *provider)
 {
     provider_ = provider;
-}
-
-int
-RadixPageTable::leafLevel(PageSize size)
-{
-    switch (size) {
-      case PageSize::Size4K: return 1;
-      case PageSize::Size2M: return 2;
-      case PageSize::Size1G: return 3;
-    }
-    return 1;
 }
 
 Addr
@@ -409,56 +396,6 @@ RadixPageTable::translate(Addr va) const
         cur = ptePfn(pte);
     }
     return std::nullopt;
-}
-
-void
-RadixPageTable::prefetchWalks(const Addr *vas, PrefetchedWalk *out,
-                              std::size_t n) const
-{
-    // Lanes chase in lock-step per level so the independent PTE
-    // fetches of one level overlap in the host memory system; 64
-    // lanes keeps the scratch on the stack and is far beyond any
-    // real machine's miss-level parallelism.
-    constexpr std::size_t kLanes = 64;
-    for (std::size_t chunk = 0; chunk < n; chunk += kLanes) {
-        const std::size_t m = std::min(kLanes, n - chunk);
-        Pfn cur[kLanes];
-        Addr slot[kLanes];
-        bool live[kLanes];
-        for (std::size_t i = 0; i < m; ++i) {
-            cur[i] = rootPfn_;
-            live[i] = true;
-            out[chunk + i] = PrefetchedWalk{};
-        }
-        for (int level = levels_; level >= 1; --level) {
-            for (std::size_t i = 0; i < m; ++i) {
-                if (!live[i])
-                    continue;
-                slot[i] = entrySlot(cur[i], vas[chunk + i], level);
-                mem_.hostPrefetch64(slot[i]);
-            }
-            for (std::size_t i = 0; i < m; ++i) {
-                if (!live[i])
-                    continue;
-                const std::uint64_t pte = win_.read(mem_, slot[i]);
-                PrefetchedWalk &o = out[chunk + i];
-                o.pteAddr[o.nSteps++] = slot[i];
-                if (!pteIsPresent(pte)) {
-                    live[i] = false;
-                    continue;
-                }
-                if (level == 1 || pteIsHuge(pte)) {
-                    const PageSize size = leafSizeAt(level);
-                    o.pa = (ptePfn(pte) << pageShift) +
-                           (vas[chunk + i] &
-                            (pageBytesOf(size) - 1));
-                    live[i] = false;
-                    continue;
-                }
-                cur[i] = ptePfn(pte);
-            }
-        }
-    }
 }
 
 std::optional<Addr>

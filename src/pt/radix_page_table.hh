@@ -232,30 +232,6 @@ class RadixPageTable
     std::uint64_t readWord(Addr pa) const { return win_.read(mem_, pa); }
 
     /**
-     * Functional result of one prefetch chase: the PTE slot addresses
-     * a walk of the VA would touch, and the final data PA (0 when the
-     * chase hit a non-present entry). Consumers feed the addresses to
-     * host-side cache prefetches; nothing here is simulated state.
-     */
-    struct PrefetchedWalk
-    {
-        Addr pa = 0;
-        std::uint8_t nSteps = 0;
-        std::array<Addr, WalkPath::capacity> pteAddr{};
-    };
-
-    /**
-     * Breadth-first functional chase of `n` independent walks for the
-     * batched pipeline: per tree level, first compute every live
-     * lane's PTE slot and hostPrefetch64() it (so the lanes' DRAM
-     * misses overlap), then read the PTEs and descend. Zero simulated
-     * effect — no cache charges, no PWC fills — it only records what
-     * walkPath() will touch and warms the host's caches for it.
-     */
-    void prefetchWalks(const Addr *vas, PrefetchedWalk *out,
-                       std::size_t n) const;
-
-    /**
      * Physical address of the *leaf* PTE for va, without walking —
      * what the DMT fetcher computes from a VMA-to-TEA mapping. Used by
      * tests to validate fetcher arithmetic against the real tree.
@@ -352,8 +328,18 @@ class RadixPageTable
         return static_cast<int>((va >> shift) & 0x1ff);
     }
 
-    /** @return leaf level for a page size (1, 2, or 3). */
-    static int leafLevel(PageSize size);
+    /** @return leaf level for a page size (1, 2, or 3); the inverse
+     *  of leafSizeAt(). */
+    static int
+    leafLevel(PageSize size)
+    {
+        switch (size) {
+          case PageSize::Size4K: return 1;
+          case PageSize::Size2M: return 2;
+          case PageSize::Size1G: return 3;
+        }
+        return 1;
+    }
 
     /** @return base of the VA span covered by a table at `level`. */
     static Addr spanBase(Addr va, int level);

@@ -11,7 +11,6 @@
 #ifndef DMT_SIM_MECHANISM_HH
 #define DMT_SIM_MECHANISM_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,21 +111,6 @@ class TranslationMechanism
      * (WalkRecord::linearSize), and by tests as ground truth.
      */
     virtual Addr resolve(Addr va) = 0;
-
-    /**
-     * Host-side hint from the batched simulator loop: the `n` VAs are
-     * the slots its read-only TLB screen predicts will miss and reach
-     * walk() shortly. Implementations chase the upcoming walks
-     * *functionally* and issue host-cache prefetches for whatever
-     * walk() will touch; they must not change any simulated state
-     * (no cache charges, no PWC/TLB fills, no counters). The default
-     * no-op is always correct, and mispredicted slots only waste a
-     * hint — walk() stays the sole source of truth.
-     */
-    virtual void prefetchWalks(const Addr * /*vas*/,
-                               std::size_t /*n*/)
-    {
-    }
 
     /** Enable per-step cost recording (Fig. 16). */
     void recordSteps(bool on) { recordSteps_ = on; }

@@ -37,20 +37,4 @@ RadixWalker::attachAuditor(InvariantAuditor &auditor,
         });
 }
 
-void
-RadixWalker::prefetchWalks(const Addr *vas, std::size_t n)
-{
-    prefetchScratch_.resize(n);
-    pt_.prefetchWalks(vas, prefetchScratch_.data(), n);
-    // walk() will charge the cache model for every PTE slot and the
-    // simulator for the data access; warm those sets' host lines.
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &w = prefetchScratch_[i];
-        for (std::uint8_t s = 0; s < w.nSteps; ++s)
-            caches_.hostPrefetch(w.pteAddr[s]);
-        if (w.pa)
-            caches_.hostPrefetch(w.pa);
-    }
-}
-
 } // namespace dmt

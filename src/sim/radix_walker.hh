@@ -13,7 +13,6 @@
 #define DMT_SIM_RADIX_WALKER_HH
 
 #include <string>
-#include <vector>
 
 #include "mem/memory_hierarchy.hh"
 #include "pt/radix_page_table.hh"
@@ -51,9 +50,6 @@ class RadixWalker final : public TranslationMechanism
 
     Addr resolve(Addr va) override;
 
-    /** Breadth-first host-cache warmup of the upcoming walks. */
-    void prefetchWalks(const Addr *vas, std::size_t n) override;
-
     void flush() override { pwc_.flush(); }
 
     PageWalkCache &pwc() { return pwc_; }
@@ -73,8 +69,6 @@ class RadixWalker final : public TranslationMechanism
     MemoryHierarchy &caches_;
     PageWalkCache pwc_;
     std::string name_;
-    /** prefetchWalks() scratch, reused across batches. */
-    std::vector<RadixPageTable::PrefetchedWalk> prefetchScratch_;
     InvariantAuditor *auditor_ = nullptr;
     int auditHookId_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "sim/translation_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -14,35 +15,6 @@ namespace dmt
 
 namespace
 {
-
-/**
- * Compile-time per-design knobs of the specialized loops. The
- * primary template is the default every design gets, including the
- * generic `TranslationMechanism` instantiation; the native DMT
- * fetcher, one of the two concrete designs runRange() dispatches
- * on, overrides it.
- */
-template <class Mech>
-struct MechTraits
-{
-    /**
-     * Whether the batched pipeline's walk-prefetch hint stage (the
-     * read-only miss screen + prefetchWalks) pays for this design.
-     * True for radix-style walkers, whose 4-step dependent chains
-     * the functional pre-chase genuinely overlaps; false for the
-     * DMT single-reference path, where the pre-chase re-does nearly
-     * the whole fetch in overhead (the measured e2e.dmt batching
-     * regression) — its prefetchWalks() is simply never called from
-     * the pipeline.
-     */
-    static constexpr bool kWalkPrefetch = true;
-};
-
-template <>
-struct MechTraits<DmtNativeFetcher>
-{
-    static constexpr bool kWalkPrefetch = false;
-};
 
 std::uint8_t
 narrow8(std::uint32_t v)
@@ -150,21 +122,11 @@ TranslationSimulator::dispatchRange(Mech &mech, TraceSource &trace,
                                     std::uint64_t begin,
                                     std::uint64_t end)
 {
-    if (config.batchSize <= 1) {
-        if (sink_)
-            scalarRange<true>(mech, trace, config, result, cells,
-                              begin, end);
-        else
-            scalarRange<false>(mech, trace, config, result, cells,
-                               begin, end);
-    } else {
-        if (sink_)
-            batchedRange<true>(mech, trace, config, result, cells,
-                               begin, end);
-        else
-            batchedRange<false>(mech, trace, config, result, cells,
-                                begin, end);
-    }
+    if (sink_)
+        loopRange<true>(mech, trace, config, result, cells, begin, end);
+    else
+        loopRange<false>(mech, trace, config, result, cells, begin,
+                         end);
 }
 
 void
@@ -184,195 +146,34 @@ TranslationSimulator::foldStepCells(const SimStepCells &cells,
 
 template <bool kTrace, class Mech>
 void
-TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
-                                  const SimConfig &config,
-                                  SimResult &result,
-                                  SimStepCells &cells,
-                                  std::uint64_t begin,
-                                  std::uint64_t end)
+TranslationSimulator::loopRange(Mech &mech, TraceSource &trace,
+                                const SimConfig &config,
+                                SimResult &result, SimStepCells &cells,
+                                std::uint64_t begin, std::uint64_t end)
 {
     // Traced runs always record steps so events carry the per-step
-    // walk breakdown; the untraced path honours the config as before.
-    mech.recordSteps(kTrace || config.recordSteps);
-    CacheTally tally;
-    static const std::vector<WalkStepCost> kNoSteps;
-    if constexpr (kTrace)
-        caches_.setEventTally(&tally);
-    for (std::uint64_t i = begin; i < end; ++i) {
-        const bool measuring = i >= config.warmupAccesses;
-        const Addr va = trace.next();
-        if constexpr (kTrace)
-            tally.reset();
-        const TlbHierarchy::Lookup tlb = tlbs_.lookupData(va);
-
-        if (measuring) {
-            ++result.accesses;
-            if (tlb.level == TlbHierarchy::Result::L1Hit)
-                ++result.l1TlbHits;
-            else if (tlb.level == TlbHierarchy::Result::L2Hit)
-                ++result.l2TlbHits;
-        }
-
-        if (tlb.level == TlbHierarchy::Result::Miss) {
-            const WalkRecord rec = mech.walk(va);
-            tlbs_.fillData(va, rec.size, rec.pa, rec.linear());
-            if (measuring) {
-                ++result.walks;
-                result.walkCycles += static_cast<double>(rec.latency);
-                result.seqRefs +=
-                    static_cast<Counter>(rec.seqRefs);
-                result.parallelRefs +=
-                    static_cast<Counter>(rec.parallelRefs);
-                if (rec.fellBack)
-                    ++result.fallbacks;
-                for (const auto &step : rec.steps) {
-                    // Figure 16 slots aggregate by walk position;
-                    // everything else by (dimension, level).
-                    const int idx = stepCellIndex(step);
-                    cells.cycles[idx] += step.cycles;
-                    ++cells.counts[idx];
-                }
-            }
-            // The data access, at the walked physical address.
-            caches_.access(rec.pa);
-            if constexpr (kTrace) {
-                obs::TranslationEvent ev;
-                ev.accessId = i;
-                ev.va = va;
-                ev.pa = rec.pa;
-                DMT_ASSERT(rec.latency <= 0xffffffffull,
-                           "walk latency overflows the event record");
-                ev.walkCycles =
-                    static_cast<std::uint32_t>(rec.latency);
-                ev.seqRefs = narrow16(
-                    static_cast<std::uint64_t>(rec.seqRefs));
-                ev.parallelRefs = narrow16(
-                    static_cast<std::uint64_t>(rec.parallelRefs));
-                ev.tlb = static_cast<std::uint8_t>(
-                    obs::TlbLevel::Miss);
-                ev.path = static_cast<std::uint8_t>(
-                    obs::eventPathOf(rec.path));
-                ev.pageSize = static_cast<std::uint8_t>(rec.size);
-                ev.pwcStartLevel = rec.pwcStartLevel;
-                ev.pwcHits = rec.pwcHits;
-                ev.pwcMisses = rec.pwcMisses;
-                ev.nestedPwcHits = rec.nestedPwcHits;
-                ev.nestedPwcMisses = rec.nestedPwcMisses;
-                ev.nestedWalks = rec.nestedWalks;
-                ev.dmtProbes = rec.dmtProbes;
-                ev.dmtFaults = rec.dmtFaults;
-                ev.flags = static_cast<std::uint8_t>(
-                    (measuring ? obs::kEventMeasured : 0) |
-                    (rec.gteaPath ? obs::kEventGtea : 0) |
-                    (rec.fellBack ? obs::kEventFellBack : 0));
-                fillTally(ev, tally);
-                sink_->emit(ev, rec.steps);
-            }
-        } else {
-            // The data access, at the entry's carried translation
-            // (or a functional one for a non-linear entry).
-            const Addr pa = tlb.linear ? tlb.pa : mech.resolve(va);
-            caches_.access(pa);
-            if constexpr (kTrace) {
-                obs::TranslationEvent ev;
-                ev.accessId = i;
-                ev.va = va;
-                ev.pa = pa;
-                ev.tlb = static_cast<std::uint8_t>(
-                    tlb.level == TlbHierarchy::Result::L1Hit
-                        ? obs::TlbLevel::L1
-                        : obs::TlbLevel::Stlb);
-                ev.path = static_cast<std::uint8_t>(
-                    obs::EventPath::TlbHit);
-                ev.pageSize = static_cast<std::uint8_t>(tlb.size);
-                ev.flags = measuring ? obs::kEventMeasured : 0;
-                fillTally(ev, tally);
-                sink_->emit(ev, kNoSteps);
-            }
-        }
-    }
-    if constexpr (kTrace)
-        caches_.setEventTally(nullptr);
-}
-
-template <bool kTrace, class Mech>
-void
-TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
-                                   const SimConfig &config,
-                                   SimResult &result,
-                                   SimStepCells &cells,
-                                   std::uint64_t begin,
-                                   std::uint64_t end)
-{
+    // walk breakdown; the untraced loop honours the config.
     mech.recordSteps(kTrace || config.recordSteps);
     CacheTally tally;
     static const std::vector<WalkStepCost> kNoSteps;
     if constexpr (kTrace)
         caches_.setEventTally(&tally);
 
-    // Struct-of-arrays batch buffers.
-    const std::uint64_t batch = config.batchSize;
-    std::vector<Addr> vas(batch);
-    std::vector<Addr> missVas;
-    missVas.reserve(batch);
-
-    // Hint-stage gate: when the simulated model state is small enough
-    // to live in the host's caches, warming it ahead of stage 4 buys
-    // nothing and costs real time per access. The stages are
-    // result-neutral (read-only probes and host prefetches), so
-    // skipping them cannot change any counter or event.
-    const HierarchyConfig &hier = caches_.config();
-    const Addr modelBytes =
-        hier.l1d.sizeBytes + hier.l2.sizeBytes + hier.llc.sizeBytes +
-        16 *
-            (static_cast<Addr>(tlbs_.l1d().config().entries) +
-             static_cast<Addr>(tlbs_.stlb().config().entries));
-    const bool hostHints =
-        modelBytes >= config.prefetchMinModelBytes;
-
+    std::array<Addr, kSimBatch> vas{};
     std::uint64_t i = begin;
     while (i < end) {
-        std::uint64_t n = std::min(batch, end - i);
+        std::uint64_t n = std::min(kSimBatch, end - i);
         // Batches never straddle the warmup boundary, so `measuring`
         // is one branch per batch instead of one per access.
         if (i < config.warmupAccesses)
             n = std::min(n, config.warmupAccesses - i);
         const bool measuring = i >= config.warmupAccesses;
 
-        // Stage 1: bulk trace fill — one virtual call per batch.
+        // One virtual call fills the whole batch.
         trace.fill(vas.data(), n);
 
-        if (hostHints) {
-            // Stage 2: warm the TLB sets the lookups will scan.
-            for (std::uint64_t j = 0; j < n; ++j)
-                tlbs_.hostPrefetch(vas[j]);
-            // The read-only screen for the slots expected to miss
-            // and the walk pre-chase it feeds only run for designs
-            // whose walks the pre-chase genuinely overlaps (see
-            // MechTraits::kWalkPrefetch) — on the DMT
-            // single-reference path the pair is pure overhead. The
-            // screen is a prediction — walk-driven inserts below can
-            // flip later slots — but a wrong guess only wastes a
-            // hint.
-            if constexpr (MechTraits<Mech>::kWalkPrefetch) {
-                missVas.clear();
-                for (std::uint64_t j = 0; j < n; ++j) {
-                    if (!tlbs_.probeData(vas[j]))
-                        missVas.push_back(vas[j]);
-                }
-
-                // Stage 3: the mechanism functionally chases the
-                // predicted walks and warms the host caches for what
-                // walk() will touch.
-                if (!missVas.empty())
-                    mech.prefetchWalks(missVas.data(),
-                                       missVas.size());
-            }
-        }
-
-        // Stage 4: the exact commit pass — identical simulated
-        // operations in identical order to the scalar loop, with
-        // counters held in per-batch accumulators.
+        // The commit pass, with counters held in per-batch
+        // accumulators.
         BatchStats bs;
         for (std::uint64_t j = 0; j < n; ++j) {
             const Addr va = vas[j];
@@ -467,7 +268,7 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
 
         // Fold the batch accumulators. Walk latencies are integers
         // and the run totals stay far below 2^53, so one double
-        // conversion here equals the scalar loop's per-walk adds.
+        // conversion here equals per-walk double adds.
         if (measuring) {
             result.accesses += bs.accesses;
             result.l1TlbHits += bs.l1TlbHits;
@@ -485,10 +286,10 @@ TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
         caches_.setEventTally(nullptr);
 }
 
-// The loop templates are instantiated implicitly through runRange's
+// The loop template is instantiated implicitly through runRange's
 // dispatch: (RadixWalker, DmtNativeFetcher, TranslationMechanism) ×
-// (traced, untraced) × (scalar, batched) — twelve loop bodies, all
-// private to this translation unit.
+// (traced, untraced) — six loop bodies, all private to this
+// translation unit.
 
 SimSession::SimSession(TranslationSimulator &sim, TraceSource &trace,
                        const SimConfig &config)

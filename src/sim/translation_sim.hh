@@ -54,37 +54,20 @@ class TraceSource
     }
 };
 
-/** Default batch size of the batched simulation pipeline. */
-inline constexpr std::uint64_t kDefaultSimBatch = 256;
+/**
+ * Accesses per batch of the simulator loop: the trace fills one
+ * stack array of this many addresses per virtual call, and the
+ * counters of a batch fold into the SimResult once.
+ */
+inline constexpr std::uint64_t kSimBatch = 256;
 
 /** Simulation lengths. */
 struct SimConfig
 {
     std::uint64_t warmupAccesses = 200'000;
     std::uint64_t measureAccesses = 2'000'000;
-    /** TLB-hit translation cost (pipelined; charged per access). */
-    Cycles tlbHitCycles = 1;
     /** Record per-step walk costs (Figure 16). */
     bool recordSteps = false;
-    /**
-     * Accesses per pipeline batch. 1 forces the scalar reference
-     * loop; anything larger runs the struct-of-arrays batched
-     * pipeline, whose results are bit-identical to the scalar loop's
-     * (the `ctest -L perf` differential suite holds it to that).
-     */
-    std::uint64_t batchSize = kDefaultSimBatch;
-    /**
-     * Host-prefetch gate for the batched pipeline's hint stages
-     * (TLB-set warming, read-only miss screen, walk prefetch). The
-     * hints have zero simulated effect — they only pay off when the
-     * model's own state (caches + TLBs) outgrows the host CPU's
-     * caches, and below that they are pure per-access overhead. The
-     * batched loop therefore skips them when the combined simulated
-     * cache + TLB footprint is under this threshold. Set to 0 to
-     * force the hint stages on regardless of model size (the
-     * differential suite does, to pin their result-neutrality).
-     */
-    Addr prefetchMinModelBytes = Addr{8} << 20;
 };
 
 /** Aggregate results of one simulation. */
@@ -128,7 +111,7 @@ struct SimResult
 };
 
 /**
- * Per-batch accumulators of the batched pipeline. The fields mirror
+ * Per-batch accumulators of the simulator loop. The fields mirror
  * their SimResult counterparts one-to-one (walkCycles stays integral
  * here — walk latencies are integers, so one double conversion at
  * batch-fold time loses nothing) and are folded into the SimResult
@@ -148,10 +131,9 @@ struct BatchStats
 };
 
 /**
- * Flat step-cost accumulator of the batched pipeline: Figure-16
- * slots (1-24) occupy cells below 32, (dimension, level) pairs the
- * cells above. Replaces the scalar loop's per-step std::map lookup;
- * folded into SimResult::stepCosts once per run (or once per
+ * Flat step-cost accumulator of the simulator loop: Figure-16 slots
+ * (1-24) occupy cells below 32, (dimension, level) pairs the cells
+ * above. Folded into SimResult::stepCosts once per run (or once per
  * SimSession, whose slices all accumulate into the same cells, so
  * slicing cannot change the fold).
  */
@@ -178,10 +160,10 @@ class TranslationSimulator
      * the whole range; SimSession (and through it the host node's
      * time slicing) issues many. Any partition of [0, total) into
      * consecutive ranges produces results and event streams
-     * byte-identical to one run() — the batched pipeline's
-     * batch-partition invariance (ctest -L perf) is exactly this
-     * property, and the scalar loop carries no cross-access state
-     * outside the simulated structures.
+     * byte-identical to one run(): the loop carries no cross-access
+     * state outside the simulated structures, and a batch holds no
+     * more than its counters (`ctest -L host` slices at 1 to 1,000
+     * accesses).
      */
     void runRange(TraceSource &trace, const SimConfig &config,
                   SimResult &result, SimStepCells &cells,
@@ -201,35 +183,27 @@ class TranslationSimulator
 
   private:
     /**
-     * Design-specialized dispatch: runRange() downcasts the
-     * mechanism to the concrete designs the hot loops are worth
+     * The simulator loop, instantiated by runRange() per (design ×
+     * trace mode): `Mech` is one of the concrete designs worth
      * specializing for (the native radix walker and the native DMT
      * fetcher — both `final`, with walk()/resolve() defined in their
-     * headers) and instantiates the loops per (design × trace-mode),
-     * so the commit pass inlines the walk and fetch bodies instead
-     * of calling through `TranslationMechanism*`. Every other design
-     * takes the generic instantiation, whose `Mech` is the abstract
-     * base — byte-for-byte the old virtual-dispatch loop.
+     * headers), so the commit body inlines the walk and fetch
+     * instead of calling through `TranslationMechanism*`; every
+     * other design takes the generic instantiation, whose `Mech` is
+     * the abstract base. Six instantiations in all.
      */
+    template <bool kTrace, class Mech>
+    void loopRange(Mech &mech, TraceSource &trace,
+                   const SimConfig &config, SimResult &result,
+                   SimStepCells &cells, std::uint64_t begin,
+                   std::uint64_t end);
+
+    /** Pick the traced or untraced loop for `mech`. */
     template <class Mech>
     void dispatchRange(Mech &mech, TraceSource &trace,
                        const SimConfig &config, SimResult &result,
                        SimStepCells &cells, std::uint64_t begin,
                        std::uint64_t end);
-
-    /** The scalar reference loop (batchSize <= 1). */
-    template <bool kTrace, class Mech>
-    void scalarRange(Mech &mech, TraceSource &trace,
-                     const SimConfig &config, SimResult &result,
-                     SimStepCells &cells, std::uint64_t begin,
-                     std::uint64_t end);
-
-    /** The struct-of-arrays batched pipeline (batchSize > 1). */
-    template <bool kTrace, class Mech>
-    void batchedRange(Mech &mech, TraceSource &trace,
-                      const SimConfig &config, SimResult &result,
-                      SimStepCells &cells, std::uint64_t begin,
-                      std::uint64_t end);
 
     TranslationMechanism &mechanism_;
     TlbHierarchy &tlbs_;

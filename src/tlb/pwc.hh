@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/simd.hh"
 #include "common/types.hh"
+#include "tlb/set_sweep.hh"
 
 namespace dmt
 {
@@ -197,15 +197,14 @@ PageWalkCache::lookup(Addr va, int root_level, Pfn root_pfn)
 {
     ++tick_;
     // Deepest first: a cached L1-table pointer means only the leaf
-    // PTE remains to be fetched. Wide key match per bank; the
+    // PTE remains to be fetched. One key sweep per bank; the
     // duplicate-tag invariant (audited) makes the last match the
     // only match.
     for (int t = 1; t <= 3; ++t) {
         Bank &bank = bankFor(t);
         const Addr tag = tagFor(va, t);
         const int entries = static_cast<int>(bank.tags.size());
-        const int match =
-            simd::findLastEqU64(bank.tags.data(), entries, tag);
+        const int match = lastEqualIndex(bank.tags.data(), entries, tag);
         if (match >= 0) {
             bank.lastUse[match] = tick_;
             ++hits_;
@@ -225,8 +224,7 @@ PageWalkCache::fill(Addr va, int table_level, Pfn table_pfn)
     Bank &bank = bankFor(table_level);
     const Addr tag = tagFor(va, table_level);
     const int entries = static_cast<int>(bank.tags.size());
-    const int match =
-        simd::findLastEqU64(bank.tags.data(), entries, tag);
+    const int match = lastEqualIndex(bank.tags.data(), entries, tag);
     if (match >= 0) {
         bank.pfn[match] = table_pfn;
         bank.lastUse[match] = tick_;
@@ -236,7 +234,7 @@ PageWalkCache::fill(Addr va, int table_level, Pfn table_pfn)
     // any, else the true LRU way, ties to the lowest index — exactly
     // the AoS scan's choice.
     const std::size_t victim = static_cast<std::size_t>(
-        simd::minIndexU64(bank.lastUse.data(), entries));
+        firstMinIndex(bank.lastUse.data(), entries));
     bank.tags[victim] = tag;
     bank.pfn[victim] = table_pfn;
     bank.lastUse[victim] = tick_;

@@ -57,26 +57,6 @@ Tlb::probe(Addr va) const
 }
 
 void
-Tlb::hostPrefetch(Addr va) const
-{
-    for (PageSize size :
-         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
-        if (sizeCount_[sizeSlot(size)] == 0)
-            continue;
-        const Vpn vpn = va >> pageShiftOf(size);
-        const std::size_t base =
-            setIndex(vpn) * config_.associativity;
-        const auto *bytes =
-            reinterpret_cast<const unsigned char *>(&keys_[base]);
-        const std::size_t span =
-            sizeof(std::uint64_t) *
-            static_cast<std::size_t>(config_.associativity);
-        for (std::size_t off = 0; off < span; off += 64)
-            __builtin_prefetch(bytes + off, 1, 3);
-    }
-}
-
-void
 Tlb::invalidate(Addr va)
 {
     for (PageSize size :

@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "check/audit.hh"
-#include "common/simd.hh"
 #include "common/types.hh"
+#include "tlb/set_sweep.hh"
 
 namespace dmt
 {
@@ -74,13 +74,6 @@ class Tlb
      * an instrumented run does not perturb replacement state.
      */
     std::optional<PageSize> probe(Addr va) const;
-
-    /**
-     * Pull the sets a lookup for va would scan into the *host* CPU's
-     * caches. No simulated effect — the batched pipeline issues these
-     * one stage ahead of the real lookups.
-     */
-    void hostPrefetch(Addr va) const;
 
     /**
      * Install a translation for the page of `size` containing va.
@@ -235,10 +228,10 @@ Tlb::findInTpl(std::size_t set, std::uint64_t key) const
 {
     const int assoc = kAssoc ? kAssoc : config_.associativity;
     const std::size_t base = set * assoc;
-    // Wide sweep over the contiguous packed keys: invalid ways hold
-    // the unmatchable sentinel, and duplicate (vpn, size) pairs are
+    // Sweep the contiguous packed keys: invalid ways hold the
+    // unmatchable sentinel, and duplicate (vpn, size) pairs are
     // impossible (audited), so the last match is the only match.
-    return simd::findLastEqU64(&keys_[base], assoc, key);
+    return lastEqualIndex(&keys_[base], assoc, key);
 }
 
 inline int
@@ -307,7 +300,7 @@ Tlb::insertTpl(Addr va, PageSize size, Addr frame)
     // exists and the true LRU way otherwise.
     const std::size_t victim =
         base + static_cast<std::size_t>(
-                   simd::minIndexU64(&lastUse_[base], assoc));
+                   firstMinIndex(&lastUse_[base], assoc));
     if (keys_[victim] != kInvalidKey)
         --sizeCount_[keys_[victim] & 3];
     ++sizeCount_[sizeSlot(size)];
@@ -398,27 +391,6 @@ class TlbHierarchy
      * Leaves the TLBs exactly as insertData() would.
      */
     void fillData(Addr va, PageSize size, Addr pa, bool linear);
-
-    /**
-     * Read-only screen: would lookupData(va) hit either level right
-     * now? No LRU promotion, no counters, no L1 refill — this is the
-     * batched pipeline's miss predictor, used only to decide which
-     * slots are worth issuing walk prefetch hints for.
-     */
-    bool
-    probeData(Addr va) const
-    {
-        return l1d_.probe(va).has_value() ||
-               stlb_.probe(va).has_value();
-    }
-
-    /** Host-cache warmup of the sets lookupData(va) will scan. */
-    void
-    hostPrefetch(Addr va) const
-    {
-        l1d_.hostPrefetch(va);
-        stlb_.hostPrefetch(va);
-    }
 
     /** Flush all levels. */
     void flush();

@@ -128,12 +128,6 @@ class GuestMemoryView : public Memory
     }
 
     void
-    hostPrefetch64(Addr pa) const override
-    {
-        backing_.hostPrefetch64(resolve(pa));
-    }
-
-    void
     write64(Addr pa, std::uint64_t value) override
     {
         backing_.write64(resolve(pa), value);

@@ -189,36 +189,6 @@ NestedWalker::walk(Addr gva)
     return rec;
 }
 
-void
-NestedWalker::prefetchWalks(const Addr *gvas, std::size_t n)
-{
-    // Guest dimension first: every lane's guest PTE slots and its
-    // data page's guest-physical address.
-    guestScratch_.resize(n);
-    guestPt_.prefetchWalks(gvas, guestScratch_.data(), n);
-    // Host dimension: the 2-D walk host-walks each guest PTE's gPA
-    // and finally the data gPA; chase them all breadth-first.
-    hostVas_.clear();
-    for (const auto &g : guestScratch_) {
-        for (std::uint8_t s = 0; s < g.nSteps; ++s)
-            hostVas_.push_back(gpaToHva_(g.pteAddr[s]));
-        if (g.pa)
-            hostVas_.push_back(gpaToHva_(g.pa));
-    }
-    hostScratch_.resize(hostVas_.size());
-    hostPt_.prefetchWalks(hostVas_.data(), hostScratch_.data(),
-                          hostVas_.size());
-    // walk() charges the host-dimension PTE slots and, through each
-    // chase's final PA, the guest PTEs' host addresses and the data
-    // page itself; warm all of their cache-model sets.
-    for (const auto &h : hostScratch_) {
-        for (std::uint8_t s = 0; s < h.nSteps; ++s)
-            caches_.hostPrefetch(h.pteAddr[s]);
-        if (h.pa)
-            caches_.hostPrefetch(h.pa);
-    }
-}
-
 Addr
 NestedWalker::resolve(Addr gva)
 {

@@ -20,7 +20,6 @@
 #define DMT_VIRT_NESTED_WALKER_HH
 
 #include <string>
-#include <vector>
 
 #include "mem/memory_hierarchy.hh"
 #include "pt/radix_page_table.hh"
@@ -71,14 +70,6 @@ class NestedWalker : public TranslationMechanism
 
     Addr resolve(Addr gva) override;
 
-    /**
-     * Host-cache warmup for the 2-D walk: chase the guest dimension
-     * breadth-first, then chase the host dimension for every guest
-     * PTE address and for the data page, warming the cache-model
-     * sets both dimensions will charge. No simulated effect.
-     */
-    void prefetchWalks(const Addr *gvas, std::size_t n) override;
-
     void
     flush() override
     {
@@ -119,10 +110,6 @@ class NestedWalker : public TranslationMechanism
     PageWalkCache guestPwc_;   //!< caches host frames of guest tables
     PageWalkCache nestedPwc_;  //!< host-dimension partial walks
     std::string name_;
-    /** prefetchWalks() scratch, reused across batches. */
-    std::vector<RadixPageTable::PrefetchedWalk> guestScratch_;
-    std::vector<RadixPageTable::PrefetchedWalk> hostScratch_;
-    std::vector<Addr> hostVas_;
     /** Figure 2 slot base of the host walk in flight (-1 = none). */
     int slotBase_ = -1;
     InvariantAuditor *auditor_ = nullptr;

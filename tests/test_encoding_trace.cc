@@ -12,6 +12,8 @@
 #include "core/register_encoding.hh"
 #include "workloads/trace_file.hh"
 
+#include "temp_dir.hh"
+
 namespace dmt
 {
 namespace
@@ -94,7 +96,7 @@ class CountingTrace : public TraceSource
 
 TEST(TraceFile, RecordReplayRoundTrip)
 {
-    const std::string path = "/tmp/dmt_test_trace.trc";
+    const std::string path = tempPath("trace.trc");
     CountingTrace source;
     recordTrace(source, 1000, path);
 

@@ -42,16 +42,12 @@
 #include "workloads/trace_file.hh"
 #include "workloads/workloads.hh"
 
+#include "temp_dir.hh"
+
 namespace dmt
 {
 namespace
 {
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + "dmt_events_" + name;
-}
 
 std::string
 dataPath(const std::string &file)

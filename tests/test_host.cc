@@ -11,6 +11,8 @@
  *  - one tenant with an infinite slice reproduces runCell exactly —
  *    every SimResult counter, the per-step cost map, and a
  *    byte-identical .dmtevents stream — under either flush policy;
+ *  - so does one tenant sliced at any length, batch edges included:
+ *    the simulator's batching is invisible to SimSession slicing;
  *  - K interleaved tenants under tagged retention each equal their
  *    isolated runs byte-for-byte (host multiplexing is invisible to
  *    the simulated structures);
@@ -38,6 +40,8 @@
 #include "obs/replay.hh"
 #include "sim/testbed.hh"
 #include "workloads/workloads.hh"
+
+#include "temp_dir.hh"
 
 namespace dmt
 {
@@ -90,13 +94,13 @@ baseNode()
 /** The isolated single-testbed oracle for one tenant. */
 CellOutcome
 isolatedOracle(const TenantSpec &spec,
-               const std::string &events_path = "")
+               const std::string &events_path = "",
+               const SimConfig &sim = smallSim())
 {
     auto workload = makeWorkload(spec.workload, kScale);
     const TestbedConfig tb = scaledTestbedConfig(
         kScale, spec.thp ? ThpMode::Always : ThpMode::Never);
-    return driver::runCell(*workload, spec.env, spec.design, tb,
-                           smallSim(),
+    return driver::runCell(*workload, spec.env, spec.design, tb, sim,
                            HostNode::tenantSeed(kBaseSeed, spec),
                            /*record_steps=*/true, events_path);
 }
@@ -151,8 +155,8 @@ TEST_P(SingleTenantDifferential, InfiniteSliceMatchesRunCell)
          {FlushPolicy::Tagged, FlushPolicy::Full}) {
         const std::string tag = std::string(c.tag) + "/" +
                                 host::flushPolicyId(policy);
-        // Unique per (env, policy): parallel ctest processes share
-        // TempDir, and the tenant name decides the events file name.
+        // Unique per policy: both runs write into this process's
+        // directory, and the tenant name decides the events file name.
         const TenantSpec spec =
             tenant("solo_" + std::string(c.tag) + "_" +
                        host::flushPolicyId(policy),
@@ -161,14 +165,13 @@ TEST_P(SingleTenantDifferential, InfiniteSliceMatchesRunCell)
         HostNodeConfig node = baseNode();
         node.sliceAccesses = 0;  // infinite slice
         node.flush = policy;
-        node.eventsDir = ::testing::TempDir();
+        node.eventsDir = tempDir();
         HostNode host(node, {spec});
         const std::vector<HostTenantResult> results = host.run();
         ASSERT_EQ(results.size(), 1u) << tag;
 
-        const std::string oraclePath = ::testing::TempDir() +
-                                       "host_oracle_" + spec.name +
-                                       ".dmtevents";
+        const std::string oraclePath =
+            tempPath("host_oracle_" + spec.name + ".dmtevents");
         const CellOutcome oracle = isolatedOracle(spec, oraclePath);
 
         expectSimIdentical(results[0].sim, oracle.sim, tag);
@@ -220,16 +223,15 @@ TEST(HostDifferential, InterleavedTenantsMatchIsolatedRuns)
     HostNodeConfig node = baseNode();
     node.sliceAccesses = 128;  // many interleavings
     node.flush = FlushPolicy::Tagged;
-    node.eventsDir = ::testing::TempDir();
+    node.eventsDir = tempDir();
     HostNode host(node, tenants);
     const std::vector<HostTenantResult> results = host.run();
     ASSERT_EQ(results.size(), tenants.size());
 
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const std::string tag = "tenant " + tenants[i].name;
-        const std::string oraclePath = ::testing::TempDir() +
-                                       "host_iso_" + tenants[i].name +
-                                       ".dmtevents";
+        const std::string oraclePath =
+            tempPath("host_iso_" + tenants[i].name + ".dmtevents");
         const CellOutcome oracle =
             isolatedOracle(tenants[i], oraclePath);
         expectSimIdentical(results[i].sim, oracle.sim, tag);
@@ -263,6 +265,63 @@ TEST(HostDifferential, TaggedResultsAreSliceInvariant)
                                tenants[i].name);
     }
 }
+
+// ------------------------------ one run() ≡ any slicing of it
+
+// The simulator loop fills and commits batches of kSimBatch (256)
+// accesses, cut at the warmup boundary, and a slice that ends inside
+// a batch resumes with a fresh one. Slices of 1, 7, 255, 257 and
+// 1,000 accesses around a 2,001-access warmup misalign every batch
+// edge; none of them may show in the results or the event stream.
+// One cell per loop instantiation: native vanilla (RadixWalker),
+// native DMT (DmtNativeFetcher), and two generic ones.
+class SliceInvariance : public ::testing::TestWithParam<SingleTenantCase>
+{
+};
+
+TEST_P(SliceInvariance, SlicedSessionMatchesOneRun)
+{
+    const SingleTenantCase &c = GetParam();
+    SimConfig sim = smallSim();
+    sim.warmupAccesses = 2'001;
+    const TenantSpec spec =
+        tenant("slice_" + std::string(c.tag), "GUPS", c.env, c.design);
+    const std::string runPath =
+        tempPath("run_" + std::string(c.tag) + ".dmtevents");
+    const CellOutcome oracle = isolatedOracle(spec, runPath, sim);
+
+    for (const std::uint64_t slice : {1u, 7u, 255u, 257u, 1000u}) {
+        const std::string tag =
+            std::string(c.tag) + " slice " + std::to_string(slice);
+        HostNodeConfig node = baseNode();
+        node.sim = sim;
+        node.sliceAccesses = slice;
+        node.flush = FlushPolicy::Tagged;
+        node.eventsDir = tempDir();
+        HostNode host(node, {spec});
+        const std::vector<HostTenantResult> results = host.run();
+        ASSERT_EQ(results.size(), 1u) << tag;
+        EXPECT_GT(results[0].host.dispatches, 1u) << tag;
+        expectSimIdentical(results[0].sim, oracle.sim, tag);
+        EXPECT_EQ(slurp(results[0].eventsPath), slurp(runPath))
+            << tag << ": event streams differ from one run()";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoopInstantiations, SliceInvariance,
+    ::testing::Values(
+        SingleTenantCase{CampaignEnv::Native, Design::Vanilla,
+                         "native_vanilla"},
+        SingleTenantCase{CampaignEnv::Native, Design::Dmt,
+                         "native_dmt"},
+        SingleTenantCase{CampaignEnv::Virt, Design::PvDmt,
+                         "virt_pvdmt"},
+        SingleTenantCase{CampaignEnv::Nested, Design::Vanilla,
+                         "nested_vanilla"}),
+    [](const ::testing::TestParamInfo<SingleTenantCase> &param) {
+        return param.param.tag;
+    });
 
 // --------------------------------------- flush-policy ordering
 
@@ -319,8 +378,7 @@ TEST(HostEvents, ReplayReconstructsSchedulerCountersExactly)
     node.sliceAccesses = 128;
     node.flush = FlushPolicy::Tagged;
     node.migrateEveryRounds = 3;  // force migrations + shootdowns
-    node.hostEventsPath =
-        ::testing::TempDir() + "host_replay.dmthostevents";
+    node.hostEventsPath = tempPath("host_replay.dmthostevents");
     HostNode host(node, tenants);
     const std::vector<HostTenantResult> results = host.run();
 

@@ -5,13 +5,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "tlb/pwc.hh"
+#include "tlb/set_sweep.hh"
 #include "tlb/tlb.hh"
 
 namespace dmt
 {
 namespace
 {
+
+// The two set scans behind every TLB and PWC lookup and fill.
+TEST(SetSweep, LastEqualAndFirstMinimum)
+{
+    const std::uint64_t keys[] = {7, ~0ull, 3, 7, ~0ull};
+    EXPECT_EQ(lastEqualIndex(keys, 5, 7), 3);  // duplicates: last wins
+    EXPECT_EQ(lastEqualIndex(keys, 5, 3), 2);
+    EXPECT_EQ(lastEqualIndex(keys, 5, ~0ull), 4);
+    EXPECT_EQ(lastEqualIndex(keys, 5, 5), -1);
+    EXPECT_EQ(lastEqualIndex(keys, 0, 7), -1);
+
+    const std::uint64_t stamps[] = {9, 4, 6, 4, 0, 0};
+    EXPECT_EQ(firstMinIndex(stamps, 4), 1);  // ties: lowest index
+    EXPECT_EQ(firstMinIndex(stamps, 6), 4);  // invalid way (stamp 0)
+    EXPECT_EQ(firstMinIndex(stamps, 1), 0);
+    const std::uint64_t top[] = {~0ull, ~0ull - 1, ~0ull - 1};
+    EXPECT_EQ(firstMinIndex(top, 3), 1);
+}
 
 TEST(Tlb, HitAfterInsert)
 {

@@ -17,16 +17,12 @@
 
 #include "workloads/trace_file.hh"
 
+#include "temp_dir.hh"
+
 using namespace dmt;
 
 namespace
 {
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + "dmt_trace_" + name;
-}
 
 void
 writeRaw(const std::string &path, const std::vector<char> &bytes)

@@ -76,12 +76,15 @@ def _blank(match):
     return re.sub(r"[^\n]", " ", match.group(0))
 
 
+def strip_cxx_comments(text):
+    """Blank comments, preserving line numbers."""
+    text = BLOCK_COMMENT.sub(_blank, text)
+    return LINE_COMMENT.sub(_blank, text)
+
+
 def strip_cxx_noise(text):
     """Blank comments and string literals, preserving line numbers."""
-    text = BLOCK_COMMENT.sub(_blank, text)
-    text = LINE_COMMENT.sub(_blank, text)
-    text = STRING.sub(_blank, text)
-    return text
+    return STRING.sub(_blank, strip_cxx_comments(text))
 
 
 def strip_cmake_noise(text):

@@ -7,11 +7,6 @@ Style rules (ported from the original tools/lint.py):
   include-guard    canonical DMT_<PATH>_<EXT> guards in src/ headers
   raw-logging      no printf/iostream output in src/ outside
                    common/log
-  raw-simd         no vendor SIMD intrinsics (_mm_*, _mm256_*,
-                   vld1q_*, <immintrin.h>, ...) outside
-                   src/common/simd.hh; call sites express intent
-                   through the wide-ops kernels so the backend choice
-                   (and its scalar fallback) stays in one file
 
 Determinism and correctness rules (this file's reason to exist —
 BENCH_campaign.json and .dmtevents streams must be byte-identical
@@ -46,11 +41,18 @@ snapshot/replay machinery):
                          under the parallel campaign runner and a
                          cross-cell determinism leak even without one.
                          Only common/log (atomic verbosity) is exempt.
+  test-temp-dir          ctest runs test processes concurrently, so a
+                         test file named in gtest's shared TempDir()
+                         or under a "/tmp/" literal is written by one
+                         process while another reads it. Test files go
+                         through tests/temp_dir.hh's per-process
+                         directory instead.
 """
 
 import re
 
-from engine import Diagnostic, Rule, HEADER_SUFFIXES
+from engine import (Diagnostic, Rule, HEADER_SUFFIXES,
+                    strip_cxx_comments)
 
 ALL_RULES = []
 
@@ -145,33 +147,6 @@ class RawLogging(Rule):
             if self.PATTERN.search(line):
                 yield lineno, ("use common/log.hh "
                                "(inform/warn/fatal/panic)")
-
-
-@register
-class RawSimd(Rule):
-    name = "raw-simd"
-    contract = ("vendor SIMD intrinsics live in src/common/simd.hh "
-                "and nowhere else; call sites use the wide-ops "
-                "kernels so every probe loop keeps a scalar fallback "
-                "and one file owns the backend choice")
-    allowed_files = frozenset({"src/common/simd.hh"})
-    PATTERN = re.compile(
-        # x86 intrinsic headers and the SSE/AVX intrinsic and vector
-        # type namespaces; ARM's NEON header and the core load/store/
-        # compare/permute intrinsic families used for 64-bit lanes.
-        r"(?:#\s*include\s*<(?:[ewxstnp]mmintrin|immintrin|avx\w*intrin|"
-        r"arm_neon)\.h>"
-        r"|\b_mm\d*_\w+\s*\("
-        r"|\b__m\d+[dhi]?\b"
-        r"|\b(?:vld\d|vst\d|vceq|vdup|vmov|vget|vset|vorr|vand|veor|"
-        r"vext|vmin|vmax|vbsl|vtbl)q?_\w+)")
-
-    def check_file(self, f):
-        for lineno, line in enumerate(f.lines, 1):
-            if self.PATTERN.search(line):
-                yield lineno, ("vendor SIMD intrinsic outside "
-                               "src/common/simd.hh; add or use a "
-                               "wide-ops kernel instead")
 
 
 # ---------------------------------------------------------------- #
@@ -457,3 +432,27 @@ class SharedMutableStatic(Rule):
             yield lineno, (f"{m.group(1)} object is shared mutable "
                            f"state; pass state explicitly or make "
                            f"it const/constexpr")
+
+
+@register
+class TestTempDir(Rule):
+    name = "test-temp-dir"
+    contract = ("test files live in tests/temp_dir.hh's per-process "
+                "directory (tempPath/tempDir), never in gtest's shared "
+                "TempDir() or a /tmp/ literal that concurrent ctest "
+                "processes also write")
+    dirs = ("tests",)
+    allowed_files = frozenset({"tests/temp_dir.hh"})
+    TEMP_DIR = re.compile(r"\bTempDir\s*\(")
+    TMP_LITERAL = re.compile(r'"/tmp/')
+
+    def check_file(self, f):
+        # f.code blanks string literals, so the /tmp/ literal is
+        # searched for in the source with only its comments removed.
+        no_comments = strip_cxx_comments(f.raw).splitlines()
+        for lineno, line in enumerate(f.lines, 1):
+            if self.TEMP_DIR.search(line) or \
+                    self.TMP_LITERAL.search(no_comments[lineno - 1]):
+                yield lineno, ("use tempPath()/tempDir() from "
+                               "tests/temp_dir.hh, a directory private "
+                               "to this test process")
