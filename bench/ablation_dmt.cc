@@ -34,20 +34,12 @@ registerSweep(JsonReport &json)
             auto wl = makeWorkload(name, scale);
             TestbedConfig cfg = testbedConfig(false);
             cfg.mapping.maxRegisters = regs;
-            NativeTestbed tb(wl->footprintBytes(), cfg);
-            tb.attachDmt();
-            wl->setup(tb.proc());
-            auto &mech = tb.build(Design::Dmt);
-            auto trace = wl->trace(42);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-            const SimResult res = sim.run(*trace, simConfigFromEnv());
-            table.addRow(
-                {name, std::to_string(regs),
-                 Table::num(tb.dmtFetcher()->stats().coverage() *
-                                100.0,
-                            2) +
-                     "%",
-                 Table::num(res.overheadPerAccess(), 1)});
+            const Outcome out = driver::runCell(
+                *wl, driver::CampaignEnv::Native, Design::Dmt, cfg,
+                simConfigFromEnv(), 42);
+            table.addRow({name, std::to_string(regs),
+                          Table::num(out.coverage * 100.0, 2) + "%",
+                          Table::num(out.sim.overheadPerAccess(), 1)});
         }
     }
     table.print();
@@ -107,28 +99,14 @@ pwcSweep(JsonReport &json)
         cfg.pwc.entriesForL3Table *= mult;
         cfg.pwc.entriesForL2Table *= mult;
         cfg.pwc.entriesForL1Table *= mult;
-        double base = 0, pv = 0;
-        {
+        auto walkLatency = [&](Design d) {
             auto wl = makeWorkload("GUPS", scale);
-            VirtTestbed tb(wl->footprintBytes(), cfg);
-            wl->setup(tb.proc());
-            auto &mech = tb.build(Design::Vanilla);
-            auto trace = wl->trace(42);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-            base = sim.run(*trace, simConfigFromEnv())
-                       .meanWalkLatency();
-        }
-        {
-            auto wl = makeWorkload("GUPS", scale);
-            VirtTestbed tb(wl->footprintBytes(), cfg);
-            tb.attachDmt(true);
-            wl->setup(tb.proc());
-            auto &mech = tb.build(Design::PvDmt);
-            auto trace = wl->trace(42);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-            pv = sim.run(*trace, simConfigFromEnv())
-                     .meanWalkLatency();
-        }
+            return driver::runCell(*wl, driver::CampaignEnv::Virt, d,
+                                   cfg, simConfigFromEnv(), 42)
+                .sim.meanWalkLatency();
+        };
+        const double base = walkLatency(Design::Vanilla);
+        const double pv = walkLatency(Design::PvDmt);
         char label[32];
         std::snprintf(label, sizeof(label), "%d-%d-%d",
                       cfg.pwc.entriesForL3Table,
@@ -190,15 +168,10 @@ fiveLevelSweep(JsonReport &json)
             auto wl = makeWorkload("GUPS", scale);
             TestbedConfig cfg = testbedConfig(false);
             cfg.ptLevels = levels;
-            NativeTestbed tb(wl->footprintBytes(), cfg);
-            if (d == Design::Dmt)
-                tb.attachDmt();
-            wl->setup(tb.proc());
-            auto &mech = tb.build(d);
-            auto trace = wl->trace(42);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
             const SimResult res =
-                sim.run(*trace, simConfigFromEnv());
+                driver::runCell(*wl, driver::CampaignEnv::Native, d,
+                                cfg, simConfigFromEnv(), 42)
+                    .sim;
             table.addRow({std::to_string(levels),
                           designName(d, false),
                           Table::num(res.meanSeqRefs(), 2),

@@ -86,8 +86,7 @@ runVirt(Workload &workload, Design design, bool thp,
 {
     return driver::runCell(workload, driver::CampaignEnv::Virt,
                            design, testbedConfig(thp),
-                           simConfigFromEnv(record_steps), seed,
-                           record_steps);
+                           simConfigFromEnv(record_steps), seed);
 }
 
 Outcome

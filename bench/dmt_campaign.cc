@@ -25,7 +25,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,18 +63,6 @@ usage(const char *argv0)
         "          [--seed N] [--events-dir DIR] [--list] [--quiet]\n",
         argv0);
     std::exit(2);
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 Options

@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,18 +64,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -106,13 +93,13 @@ parse(int argc, char **argv)
         else if (arg == "--out") opt.out = value();
         else if (arg == "--sweep") {
             opt.sweep.tenantsPerCore.clear();
-            for (const auto &t : splitList(value()))
+            for (const auto &t : driver::splitList(value()))
                 opt.sweep.tenantsPerCore.push_back(
                     static_cast<unsigned>(countOf(t, UINT_MAX)));
         } else if (arg == "--cores")
             opt.sweep.cores = static_cast<unsigned>(count(UINT_MAX));
         else if (arg == "--workloads")
-            opt.sweep.workloads = splitList(value());
+            opt.sweep.workloads = driver::splitList(value());
         else if (arg == "--env")
             opt.sweep.env = driver::parseEnv(value());
         else if (arg == "--design")
@@ -191,16 +178,7 @@ main(int argc, char **argv)
     if (!opt.eventsDir.empty() || !opt.hostEvents.empty()) {
         // Single point with event logging: run the node directly so
         // the sink paths can be threaded through.
-        HostNodeConfig node;
-        node.cores = opt.sweep.cores;
-        node.sliceAccesses = opt.sweep.sliceAccesses;
-        node.flush = opt.sweep.flush;
-        node.slice = opt.sweep.slice;
-        node.migrateEveryRounds = opt.sweep.migrateEveryRounds;
-        node.costs = opt.sweep.costs;
-        node.scale = opt.sweep.scale;
-        node.baseSeed = opt.sweep.baseSeed;
-        node.sim = opt.sweep.sim;
+        HostNodeConfig node = nodeConfig(opt.sweep);
         node.eventsDir = opt.eventsDir;
         node.hostEventsPath = opt.hostEvents;
         const unsigned density = opt.sweep.tenantsPerCore.front();

@@ -39,6 +39,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "driver/cell.hh"
 #include "driver/cli.hh"
 #include "driver/json.hh"
 #include "mem/memory_hierarchy.hh"
@@ -276,12 +277,9 @@ benchWalk(const std::string &name, Design design, std::uint64_t ops,
           int reps)
 {
     auto workload = makeWorkload("GUPS", kScale);
-    NativeTestbed tb(workload->footprintBytes(),
-                     scaledTestbedConfig(kScale));
-    if (design == Design::Dmt)
-        tb.attachDmt();
-    workload->setup(tb.proc());
-    auto &mech = tb.build(design);
+    driver::Cell cell(*workload, driver::CampaignEnv::Native, design,
+                      scaledTestbedConfig(kScale), SimConfig{}, kSeed);
+    TranslationMechanism &mech = cell.mechanism();
     const auto vas = traceAddrs(*workload, 8192);
     return repeat(name, ops, reps, [&] {
         const auto start = Clock::now();
@@ -301,17 +299,16 @@ benchEndToEnd(const std::string &name, Design design,
               std::uint64_t accesses, int reps)
 {
     auto workload = makeWorkload("GUPS", kScale);
-    NativeTestbed tb(workload->footprintBytes(),
-                     scaledTestbedConfig(kScale));
-    if (design == Design::Dmt)
-        tb.attachDmt();
-    workload->setup(tb.proc());
-    auto &mech = tb.build(design);
-    auto trace = workload->trace(kSeed);
-    TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
     SimConfig config;
     config.warmupAccesses = accesses / 5;
     config.measureAccesses = accesses;
+    driver::Cell cell(*workload, driver::CampaignEnv::Native, design,
+                      scaledTestbedConfig(kScale), config, kSeed);
+    // Every repetition reruns the whole stream on the cell's warm
+    // structures, which a one-shot SimSession cannot do.
+    auto trace = workload->trace(kSeed);
+    TranslationSimulator sim(cell.mechanism(), cell.tlbs(),
+                             cell.caches());
     return repeat(name,
                   config.warmupAccesses + config.measureAccesses,
                   reps, [&] {

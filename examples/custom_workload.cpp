@@ -15,9 +15,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "sim/testbed.hh"
-#include "sim/translation_sim.hh"
-#include "workloads/workloads.hh"
+#include "driver/campaign.hh"
 
 using namespace dmt;
 
@@ -95,36 +93,23 @@ main()
                     (1ull << 30));
 
     const TestbedConfig cfg = scaledTestbedConfig(1.0 / 16.0);
+    SimConfig simCfg;
+    simCfg.measureAccesses = 400'000;
+    // A custom workload runs through the same cell builder as the
+    // paper's seven: driver::runCell takes any Workload.
+    auto walkLatency = [&](driver::CampaignEnv env, Design d) {
+        ColumnScanWorkload wl;
+        return driver::runCell(wl, env, d, cfg, simCfg, 1)
+            .sim.meanWalkLatency();
+    };
     std::printf("%-14s %12s %12s\n", "design", "native", "virt");
     for (Design d : {Design::Vanilla, Design::Ecpt, Design::Dmt,
                      Design::PvDmt}) {
-        double native = -1.0, virt = -1.0;
-        if (d != Design::PvDmt) {
-            ColumnScanWorkload wl;
-            NativeTestbed tb(wl.footprintBytes(), cfg);
-            if (d == Design::Dmt)
-                tb.attachDmt();
-            wl.setup(tb.proc());
-            auto &mech = tb.build(d);
-            auto trace = wl.trace(1);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-            SimConfig simCfg;
-            simCfg.measureAccesses = 400'000;
-            native = sim.run(*trace, simCfg).meanWalkLatency();
-        }
-        {
-            ColumnScanWorkload wl;
-            VirtTestbed tb(wl.footprintBytes(), cfg);
-            if (d == Design::Dmt || d == Design::PvDmt)
-                tb.attachDmt(d == Design::PvDmt);
-            wl.setup(tb.proc());
-            auto &mech = tb.build(d);
-            auto trace = wl.trace(1);
-            TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-            SimConfig simCfg;
-            simCfg.measureAccesses = 400'000;
-            virt = sim.run(*trace, simCfg).meanWalkLatency();
-        }
+        const double native =
+            d == Design::PvDmt
+                ? -1.0
+                : walkLatency(driver::CampaignEnv::Native, d);
+        const double virt = walkLatency(driver::CampaignEnv::Virt, d);
         if (native >= 0.0) {
             std::printf("%-14s %9.1f cyc %9.1f cyc\n",
                         designName(d, false).c_str(), native, virt);

@@ -8,9 +8,12 @@
  *          [--seed N] [--audit[=N]] [--json FILE] [--events FILE]
  *          [--record-trace FILE | --trace FILE]
  *
- * --json writes the cell's results in the same schema as one entry
- * of dmt-campaign's BENCH_campaign.json (see that tool for grid
- * sweeps).
+ * The cell is a driver::Cell, as in dmt-campaign: at a cell's seed
+ * from `dmt-campaign --list`, both write the same --events bytes.
+ * --json writes schema dmtsim-cell-v1: identity, seed, the SimResult
+ * counters and means, and coverage for DMT designs; unlike a campaign
+ * entry it has no hit ratios, mpki, mechanism, shadow_exits or
+ * hypercall fields.
  *
  * Examples:
  *   dmtsim --workload Redis --design pvdmt --env virt
@@ -25,15 +28,12 @@
 #include <fstream>
 #include <string>
 
-#include "driver/campaign.hh"
+#include "driver/cell.hh"
 #include "driver/cli.hh"
 #include "driver/json.hh"
 
 #include "check/invariant_auditor.hh"
 #include "common/log.hh"
-#include "obs/event_log.hh"
-#include "obs/replay.hh"
-#include "sim/exec_model.hh"
 #include "sim/testbed.hh"
 #include "sim/translation_sim.hh"
 #include "workloads/trace_file.hh"
@@ -179,17 +179,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const TestbedConfig cfg = scaledTestbedConfig(
-        opt.scale, opt.thp ? ThpMode::Always : ThpMode::Never);
-    SimConfig simCfg;
-    simCfg.warmupAccesses = opt.warmup;
-    simCfg.measureAccesses = opt.accesses;
-
-    auto makeTrace = [&]() -> std::unique_ptr<TraceSource> {
-        if (!opt.traceFile.empty())
-            return std::make_unique<FileTrace>(opt.traceFile);
-        return wl->trace(opt.seed);
-    };
+    if (opt.env != "native" && opt.env != "virt" && opt.env != "nested")
+        usage(argv[0]);
 
     std::printf("%s / %s / %s%s, working set %.2f GB (1/%.0f of the "
                 "paper)\n",
@@ -199,7 +190,7 @@ main(int argc, char **argv)
                     (1ull << 30),
                 1.0 / opt.scale);
 
-    // Declared before the testbeds: subsystems unregister their audit
+    // Declared before the cell: subsystems unregister their audit
     // hooks on destruction, so the auditor must outlive them.
     InvariantAuditor auditor;
     if (opt.audit && opt.auditInterval) {
@@ -211,38 +202,34 @@ main(int argc, char **argv)
 #endif
         auditor.setInterval(opt.auditInterval);
     }
-    // Interval sweeps are meaningful only once the machine is in a
-    // steady state: enable after setup via this helper.
-    auto runAudited = [&](auto &tb, TranslationMechanism &mech,
-                          std::unique_ptr<TraceSource> trace) {
+
+    driver::CellOutcome out;
+    {
+        SimConfig simCfg;
+        simCfg.warmupAccesses = opt.warmup;
+        simCfg.measureAccesses = opt.accesses;
+        std::unique_ptr<TraceSource> trace;
+        if (!opt.traceFile.empty())
+            trace = std::make_unique<FileTrace>(opt.traceFile);
+        driver::Cell cell(*wl, driver::parseEnv(opt.env), design,
+                          scaledTestbedConfig(opt.scale,
+                                              opt.thp ? ThpMode::Always
+                                                      : ThpMode::Never),
+                          simCfg, opt.seed, opt.eventsOut,
+                          std::move(trace));
+        // Interval sweeps are meaningful only once the machine is in
+        // a steady state: attach after set-up.
         if (opt.audit)
-            tb.attachAuditor(auditor);
-        TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-        SimResult r;
-        if (opt.eventsOut.empty()) {
-            r = sim.run(*trace, simCfg);
-        } else {
-            // Capture every access to a .dmtevents file, embedding
-            // the run's translation counters (diffed around the run
-            // so pre-run state can't skew them) in the footer — the
-            // file verifies itself via tools/events_check.
-            obs::FileEventSink sink(opt.eventsOut);
-            StatGroup before("before");
-            tb.translationStats(before);
-            sim.setEventSink(&sink);
-            r = sim.run(*trace, simCfg);
-            sim.setEventSink(nullptr);
-            StatGroup after("after");
-            tb.translationStats(after);
-            obs::CounterMap counters = obs::diffCounters(
-                obs::counterMapFromStats(before),
-                obs::counterMapFromStats(after));
-            obs::addSimResultCounters(counters, r);
-            sink.setCounters(counters);
-            sink.finish();
+            cell.attachAuditor(auditor);
+        cell.session().advance();
+        // With --events, every access went to the file, whose footer
+        // holds the run's counters: it verifies itself via
+        // tools/events_check.
+        out = cell.finish();
+        if (!opt.eventsOut.empty()) {
             std::printf("wrote %llu events to %s\n",
                         static_cast<unsigned long long>(
-                            sink.eventCount()),
+                            cell.session().total()),
                         opt.eventsOut.c_str());
         }
         if (opt.audit) {
@@ -251,41 +238,12 @@ main(int argc, char **argv)
             // are not violations; stop sweeping before destructors.
             auditor.setInterval(0);
         }
-        return r;
-    };
-
-    SimResult res;
-    double coverage = -1.0;
-    if (opt.env == "native") {
-        NativeTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::Dmt)
-            tb.attachDmt();
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else if (opt.env == "virt") {
-        VirtTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt(design == Design::PvDmt);
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else if (opt.env == "nested") {
-        NestedTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::PvDmt)
-            tb.attachPvDmt();
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else {
-        usage(argv[0]);
     }
+    const SimResult &res = out.sim;
+    // Only the DMT designs have register coverage to report.
+    const double coverage =
+        design == Design::Dmt || design == Design::PvDmt ? out.coverage
+                                                          : -1.0;
     report(res, coverage);
     if (!opt.jsonOut.empty()) {
         std::ofstream os(opt.jsonOut, std::ios::binary);

@@ -11,11 +11,9 @@
 
 #include <cstdio>
 
+#include "driver/campaign.hh"
 #include "sim/exec_model.hh"
-#include "sim/testbed.hh"
-#include "sim/translation_sim.hh"
 #include "virt/costs.hh"
-#include "workloads/workloads.hh"
 
 using namespace dmt;
 
@@ -29,34 +27,29 @@ main()
                 static_cast<double>(proto->footprintBytes()) /
                     (1ull << 30));
 
+    SimConfig simCfg;
+    simCfg.warmupAccesses = 100'000;
+    simCfg.measureAccesses = 400'000;
     SimResult results[2];
     Counter shadowExits = 0;
     Cycles hypercallCost = 0;
     int idx = 0;
     for (Design d : {Design::Vanilla, Design::PvDmt}) {
         auto wl = makeWorkload("GUPS", scale);
-        NestedTestbed tb(wl->footprintBytes(),
-                         scaledTestbedConfig(scale));
-        if (d == Design::PvDmt)
-            tb.attachPvDmt();
-        wl->setup(tb.proc());
-        auto &mech = tb.build(d);
-        auto trace = wl->trace(7);
-        TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-        SimConfig simCfg;
-        simCfg.warmupAccesses = 100'000;
-        simCfg.measureAccesses = 400'000;
-        results[idx] = sim.run(*trace, simCfg);
+        const driver::CellOutcome out =
+            driver::runCell(*wl, driver::CampaignEnv::Nested, d,
+                            scaledTestbedConfig(scale), simCfg, 7);
+        results[idx] = out.sim;
         std::printf("%-20s %.1f cycles/walk, %.2f refs/walk\n",
-                    mech.name().c_str(),
+                    out.design.c_str(),
                     results[idx].meanWalkLatency(),
                     results[idx].meanSeqRefs());
         if (d == Design::Vanilla) {
-            shadowExits = tb.shadowPager()->exits();
+            shadowExits = out.shadowExits;
         } else {
-            hypercallCost = tb.l2Hypercall()->simulatedCost();
+            hypercallCost = out.hypercallCycles;
             std::printf("  L2 register coverage: %.2f%%\n",
-                        tb.dmtFetcher()->stats().coverage() * 100);
+                        out.coverage * 100);
         }
         ++idx;
     }

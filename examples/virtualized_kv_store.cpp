@@ -10,10 +10,8 @@
 
 #include <cstdio>
 
+#include "driver/campaign.hh"
 #include "sim/exec_model.hh"
-#include "sim/testbed.hh"
-#include "sim/translation_sim.hh"
-#include "workloads/workloads.hh"
 
 using namespace dmt;
 
@@ -24,21 +22,16 @@ SimResult
 runOne(Design design, const Workload &proto, double scale)
 {
     auto wl = makeWorkload(proto.name(), scale);
-    const TestbedConfig cfg = scaledTestbedConfig(scale);
-    VirtTestbed tb(wl->footprintBytes(), cfg);
-    if (design == Design::PvDmt)
-        tb.attachDmt(true);
-    wl->setup(tb.proc());
-    auto &mech = tb.build(design);
-    auto trace = wl->trace(2024);
-    TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
     SimConfig simCfg;
     simCfg.warmupAccesses = 100'000;
     simCfg.measureAccesses = 400'000;
-    const SimResult res = sim.run(*trace, simCfg);
+    const driver::CellOutcome out =
+        driver::runCell(*wl, driver::CampaignEnv::Virt, design,
+                        scaledTestbedConfig(scale), simCfg, 2024);
+    const SimResult &res = out.sim;
     std::printf("  %-12s mean walk %.1f cycles, %.2f dependent "
                 "refs/walk, %llu TLB misses\n",
-                mech.name().c_str(), res.meanWalkLatency(),
+                out.design.c_str(), res.meanWalkLatency(),
                 res.meanSeqRefs(),
                 static_cast<unsigned long long>(res.walks));
     return res;

@@ -1,19 +1,16 @@
 #include "driver/campaign.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
-#include <mutex>
-#include <thread>
 
 #include <sys/resource.h>
 
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "driver/cell.hh"
 #include "driver/json.hh"
-#include "obs/event_log.hh"
-#include "obs/replay.hh"
+#include "driver/pool.hh"
 
 namespace dmt
 {
@@ -141,92 +138,17 @@ cellSeed(std::uint64_t base_seed, const CellSpec &spec)
 CellOutcome
 runCell(Workload &workload, CampaignEnv env, Design design,
         const TestbedConfig &tb_config, const SimConfig &sim_config,
-        std::uint64_t seed, bool record_steps,
-        const std::string &events_path)
+        std::uint64_t seed, const std::string &events_path)
 {
     // dmtlint: allow(wall-clock) -- timing sidecar: wallSeconds only
     // ever reaches emitTimingJson, never the deterministic report
     const auto start = std::chrono::steady_clock::now();
-    SimConfig cfg = sim_config;
-    cfg.recordSteps = record_steps;
     CellOutcome out;
-    // Run the simulation, optionally capturing events. The footer
-    // counters are the run's own deltas (stats after minus before),
-    // so anything a testbed did before the run cannot skew the
-    // self-verification contract.
-    auto runSim = [&](auto &tb, TranslationMechanism &mech,
-                      TraceSource &trace) -> SimResult {
-        TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-        if (events_path.empty())
-            return sim.run(trace, cfg);
-        obs::FileEventSink sink(events_path);
-        StatGroup before("before");
-        tb.translationStats(before);
-        sim.setEventSink(&sink);
-        const SimResult res = sim.run(trace, cfg);
-        sim.setEventSink(nullptr);
-        StatGroup after("after");
-        tb.translationStats(after);
-        obs::CounterMap counters = obs::diffCounters(
-            obs::counterMapFromStats(before),
-            obs::counterMapFromStats(after));
-        obs::addSimResultCounters(counters, res);
-        sink.setCounters(counters);
-        sink.finish();
-        return res;
-    };
-    switch (env) {
-      case CampaignEnv::Native: {
-        NativeTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt();
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        break;
-      }
-      case CampaignEnv::Virt: {
-        VirtTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt(design == Design::PvDmt);
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        if (tb.shadowPager())
-            out.shadowExits = tb.shadowPager()->exits();
-        if (tb.hypercall()) {
-            out.hypercalls = tb.hypercall()->hypercalls();
-            out.hypercallCycles = tb.hypercall()->simulatedCost();
-        }
-        break;
-      }
-      case CampaignEnv::Nested: {
-        NestedTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::PvDmt)
-            tb.attachPvDmt();
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        if (tb.shadowPager())
-            out.shadowExits = tb.shadowPager()->exits();
-        if (tb.l2Hypercall()) {
-            out.hypercalls = tb.l2Hypercall()->hypercalls();
-            out.hypercallCycles = tb.l2Hypercall()->simulatedCost();
-        }
-        break;
-      }
+    {
+        Cell cell(workload, env, design, tb_config, sim_config, seed,
+                  events_path);
+        cell.session().advance();
+        out = cell.finish();
     }
     const std::chrono::duration<double> elapsed =
         // dmtlint: allow(wall-clock) -- timing sidecar, see above
@@ -278,23 +200,9 @@ runCampaign(const CampaignConfig &config, unsigned threads,
 {
     const std::vector<CellSpec> cells = enumerateCells(config);
     std::vector<CellResult> results(cells.size());
-    if (cells.empty())
-        return results;
-
-    if (threads == 0)
-        threads = 1;
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(cells.size()));
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMutex;
-
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= cells.size())
-                return;
+    runJobs(
+        cells.size(), threads,
+        [&](std::size_t i) {
             const CellSpec &spec = cells[i];
             CellResult &res = results[i];
             res.spec = spec;
@@ -311,26 +219,12 @@ runCampaign(const CampaignConfig &config, unsigned threads,
                     : config.eventsDir + "/" +
                           cellEventsFileName(spec);
             res.outcome = runCell(*wl, spec.env, spec.design, tb,
-                                  config.sim, res.seed,
-                                  /*record_steps=*/false, eventsPath);
-            const std::size_t finished = done.fetch_add(1) + 1;
-            if (progress) {
-                const std::lock_guard<std::mutex> lock(progressMutex);
-                progress(res, finished, cells.size());
-            }
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (auto &th : pool)
-            th.join();
-    }
+                                  config.sim, res.seed, eventsPath);
+        },
+        [&](std::size_t i, std::size_t finished) {
+            if (progress)
+                progress(results[i], finished, cells.size());
+        });
     return results;
 }
 

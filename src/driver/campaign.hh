@@ -95,9 +95,11 @@ struct CellOutcome
 };
 
 /**
- * Run one cell against an already-constructed workload. Builds a
- * fresh testbed for the cell's environment, lays out the workload,
- * and streams its trace through the translation simulator.
+ * Run one cell against an already-constructed workload: build it (a
+ * driver::Cell, see cell.hh), stream its whole trace through the
+ * translation simulator, tear it down, and time all of it.
+ * `sim_config.recordSteps` decides whether per-step walk costs are
+ * kept.
  *
  * If `events_path` is non-empty, a FileEventSink captures every
  * simulated access to that .dmtevents file, with the cell's
@@ -109,7 +111,6 @@ struct CellOutcome
 CellOutcome runCell(Workload &workload, CampaignEnv env, Design design,
                     const TestbedConfig &tb_config,
                     const SimConfig &sim_config, std::uint64_t seed,
-                    bool record_steps = false,
                     const std::string &events_path = "");
 
 /** Canonical events file name for a cell within --events-dir. */

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 namespace dmt
 {
@@ -34,6 +35,18 @@ parseScale(const std::string &text)
         !(denom > 0.0))
         return std::nullopt;
     return 1.0 / denom;
+}
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(csv);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
 }
 
 } // namespace driver

@@ -1,7 +1,7 @@
 /**
  * @file
- * Strict numeric flag parsing shared by the command-line drivers
- * (dmtsim, dmt-campaign, dmt-node).
+ * Flag parsing shared by the command-line drivers (dmtsim,
+ * dmt-campaign, dmt-node): strict numbers and comma lists.
  *
  * A malformed number must never run a cell with a silently
  * substituted value: strtoull() alone reads "x" as 0, and strtod()
@@ -17,6 +17,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace dmt
 {
@@ -38,6 +39,9 @@ std::optional<std::uint64_t> parseCount(
  * @return the scale 1/N, or nullopt for anything else
  */
 std::optional<double> parseScale(const std::string &text);
+
+/** Split a comma-separated list, dropping empty items. */
+std::vector<std::string> splitList(const std::string &csv);
 
 } // namespace driver
 } // namespace dmt

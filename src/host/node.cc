@@ -6,7 +6,7 @@
 
 #include "check/audit.hh"
 #include "common/log.hh"
-#include "obs/event_log.hh"
+#include "driver/cell.hh"
 #include "obs/host_event.hh"
 #include "obs/replay.hh"
 #include "workloads/workloads.hh"
@@ -19,12 +19,6 @@ namespace
 
 /** Sentinel core id for a tenant that has never run. */
 constexpr unsigned kNoCore = ~0u;
-
-std::string
-tenantKey(std::uint32_t tenant, const char *counter)
-{
-    return "host.t" + std::to_string(tenant) + "." + counter;
-}
 
 } // namespace
 
@@ -46,10 +40,9 @@ parseFlushPolicy(const std::string &name)
 }
 
 /**
- * One tenant's complete execution context: a shared-nothing testbed
- * of its environment, its workload and trace, and the resumable
- * session the scheduler advances slice by slice. Exactly one of
- * native/virt/nested is set.
+ * One tenant's complete execution context: its workload and the
+ * shared-nothing cell built from it, whose resumable session the
+ * scheduler advances slice by slice.
  */
 struct HostNode::Tenant
 {
@@ -59,67 +52,17 @@ struct HostNode::Tenant
     unsigned core = 0;          //!< currently assigned core
     unsigned lastCore = kNoCore;  //!< core of the previous slice
     std::unique_ptr<Workload> workload;
-    std::unique_ptr<NativeTestbed> native;
-    std::unique_ptr<VirtTestbed> virt;
-    std::unique_ptr<NestedTestbed> nested;
-    TranslationMechanism *mech = nullptr;
-    std::unique_ptr<TraceSource> trace;
-    std::unique_ptr<TranslationSimulator> sim;
-    std::unique_ptr<obs::FileEventSink> sink;
-    obs::CounterMap beforeCounters;
-    std::unique_ptr<SimSession> session;
+    std::unique_ptr<driver::Cell> cell;
     HostTenantStats host;
     HostTenantResult result;
 
-    TlbHierarchy &
-    tlbs()
-    {
-        if (native)
-            return native->tlbs();
-        if (virt)
-            return virt->tlbs();
-        return nested->tlbs();
-    }
-
-    MemoryHierarchy &
-    caches()
-    {
-        if (native)
-            return native->caches();
-        if (virt)
-            return virt->caches();
-        return nested->caches();
-    }
-
-    void
-    translationStats(StatGroup &g)
-    {
-        if (native)
-            native->translationStats(g);
-        else if (virt)
-            virt->translationStats(g);
-        else
-            nested->translationStats(g);
-    }
-
-    /** The architectural (task-state) register file the scheduler
-     *  swaps: the guest-most level's file in every environment. */
-    DmtRegisterFile &
-    archRegs()
-    {
-        if (native)
-            return native->registers();
-        if (virt)
-            return virt->guestRegisters();
-        return nested->registers();
-    }
-
-    /** Slots of archRegs() currently present, in slot order. */
+    /** Slots of the task-state register file currently present, in
+     *  slot order. */
     std::vector<std::uint8_t>
     presentRegs()
     {
         std::vector<std::uint8_t> out;
-        DmtRegisterFile &regs = archRegs();
+        DmtRegisterFile &regs = cell->taskRegisters();
         for (int i = 0; i < DmtRegisterFile::capacity; ++i) {
             if (regs.at(i).present)
                 out.push_back(static_cast<std::uint8_t>(i));
@@ -193,110 +136,30 @@ HostNode::attachAuditor(InvariantAuditor &auditor)
 void
 HostNode::buildTenant(Tenant &t)
 {
-    // Mirrors driver::runCell's construction order exactly: DMT
-    // attach before workload setup, build after, trace from the
-    // identity-only seed, and the event sink's footer confined to
-    // this run's deltas. The host differential suite holds a
-    // 1-tenant node to byte-identical agreement with runCell.
     t.workload = makeWorkload(t.spec.workload, config_.scale);
-    const TestbedConfig tb = scaledTestbedConfig(
-        config_.scale,
-        t.spec.thp ? ThpMode::Always : ThpMode::Never);
-    const Addr footprint = t.workload->footprintBytes();
-    switch (t.spec.env) {
-      case driver::CampaignEnv::Native:
-        t.native = std::make_unique<NativeTestbed>(footprint, tb);
-        if (t.spec.design == Design::Dmt ||
-            t.spec.design == Design::PvDmt) {
-            t.native->attachDmt();
-        }
-        t.workload->setup(t.native->proc());
-        t.mech = &t.native->build(t.spec.design);
-        break;
-      case driver::CampaignEnv::Virt:
-        t.virt = std::make_unique<VirtTestbed>(footprint, tb);
-        if (t.spec.design == Design::Dmt ||
-            t.spec.design == Design::PvDmt) {
-            t.virt->attachDmt(t.spec.design == Design::PvDmt);
-        }
-        t.workload->setup(t.virt->proc());
-        t.mech = &t.virt->build(t.spec.design);
-        break;
-      case driver::CampaignEnv::Nested:
-        t.nested = std::make_unique<NestedTestbed>(footprint, tb);
-        if (t.spec.design == Design::PvDmt)
-            t.nested->attachPvDmt();
-        t.workload->setup(t.nested->proc());
-        t.mech = &t.nested->build(t.spec.design);
-        break;
-    }
-    t.trace = t.workload->trace(t.seed);
-    t.sim = std::make_unique<TranslationSimulator>(*t.mech, t.tlbs(),
-                                                   t.caches());
     if (!config_.eventsDir.empty()) {
         t.result.eventsPath = config_.eventsDir + "/" +
                               tenantEventsFileName(t.spec);
-        t.sink =
-            std::make_unique<obs::FileEventSink>(t.result.eventsPath);
-        StatGroup before("before");
-        t.translationStats(before);
-        t.beforeCounters = obs::counterMapFromStats(before);
-        t.sim->setEventSink(t.sink.get());
     }
-    t.session =
-        std::make_unique<SimSession>(*t.sim, *t.trace, config_.sim);
+    t.cell = std::make_unique<driver::Cell>(
+        *t.workload, t.spec.env, t.spec.design,
+        scaledTestbedConfig(config_.scale, t.spec.thp ? ThpMode::Always
+                                                      : ThpMode::Never),
+        config_.sim, t.seed, t.result.eventsPath);
 }
 
 void
 HostNode::finalizeTenant(Tenant &t)
 {
+    const driver::CellOutcome out = t.cell->finish();
     t.result.spec = t.spec;
     t.result.seed = t.seed;
-    t.result.sim = t.session->result();
-    if (t.sink) {
-        StatGroup after("after");
-        t.translationStats(after);
-        obs::CounterMap counters = obs::diffCounters(
-            t.beforeCounters, obs::counterMapFromStats(after));
-        obs::addSimResultCounters(counters, t.result.sim);
-        t.sim->setEventSink(nullptr);
-        t.sink->setCounters(counters);
-        t.sink->finish();
-    }
-    if (t.native) {
-        t.result.design = t.mech->name();
-        if (t.native->dmtFetcher()) {
-            t.result.coverage =
-                t.native->dmtFetcher()->stats().coverage();
-        }
-    } else if (t.virt) {
-        t.result.design = t.mech->name();
-        if (t.virt->dmtFetcher()) {
-            t.result.coverage =
-                t.virt->dmtFetcher()->stats().coverage();
-        }
-        if (t.virt->shadowPager())
-            t.result.shadowExits = t.virt->shadowPager()->exits();
-        if (t.virt->hypercall()) {
-            t.result.hypercalls = t.virt->hypercall()->hypercalls();
-            t.result.hypercallCycles =
-                t.virt->hypercall()->simulatedCost();
-        }
-    } else {
-        t.result.design = t.mech->name();
-        if (t.nested->dmtFetcher()) {
-            t.result.coverage =
-                t.nested->dmtFetcher()->stats().coverage();
-        }
-        if (t.nested->shadowPager())
-            t.result.shadowExits = t.nested->shadowPager()->exits();
-        if (t.nested->l2Hypercall()) {
-            t.result.hypercalls =
-                t.nested->l2Hypercall()->hypercalls();
-            t.result.hypercallCycles =
-                t.nested->l2Hypercall()->simulatedCost();
-        }
-    }
+    t.result.sim = out.sim;
+    t.result.coverage = out.coverage;
+    t.result.shadowExits = out.shadowExits;
+    t.result.hypercalls = out.hypercalls;
+    t.result.hypercallCycles = out.hypercallCycles;
+    t.result.design = out.design;
 }
 
 std::uint64_t
@@ -411,8 +274,8 @@ HostNode::switchIn(unsigned core, Tenant &t)
     }
 
     if (flushTenant) {
-        t.tlbs().flush();
-        t.mech->flush();
+        t.cell->tlbs().flush();
+        t.cell->mechanism().flush();
         ++t.host.tlbFlushes;
         ++t.host.pwcFlushes;
         sw.flags |= obs::kHostTlbFlushed | obs::kHostPwcFlushed;
@@ -482,7 +345,7 @@ HostNode::run()
                 const std::size_t pos =
                     (cursor[core] + k) % q.size();
                 Tenant &cand = *tenants_[q[pos]];
-                if (!cand.session->done()) {
+                if (!cand.cell->session().done()) {
                     t = &cand;
                     cursor[core] = (pos + 1) % q.size();
                     break;
@@ -501,8 +364,8 @@ HostNode::run()
             }
             if (current_[core] != t->index)
                 switchIn(core, *t);
-            t->session->advance(sliceFor(*t));
-            if (t->session->done()) {
+            t->cell->session().advance(sliceFor(*t));
+            if (t->cell->session().done()) {
                 finalizeTenant(*t);
                 --remaining;
             }
@@ -530,32 +393,23 @@ void
 HostNode::hostStats(StatGroup &g) const
 {
     for (const auto &t : tenants_) {
+        const auto add = [&](const char *name, Counter value) {
+            g.scalar(obs::hostCounterKey(t->index, name))
+                .inc(static_cast<double>(value));
+        };
         const HostTenantStats &h = t->host;
-        const std::uint32_t i = t->index;
-        g.scalar(tenantKey(i, "dispatches"))
-            .inc(static_cast<double>(h.dispatches));
-        g.scalar(tenantKey(i, "ctx_switches"))
-            .inc(static_cast<double>(h.ctxSwitches));
-        g.scalar(tenantKey(i, "migrations"))
-            .inc(static_cast<double>(h.migrations));
-        g.scalar(tenantKey(i, "shootdowns"))
-            .inc(static_cast<double>(h.shootdowns));
-        g.scalar(tenantKey(i, "tlb_flushes"))
-            .inc(static_cast<double>(h.tlbFlushes));
-        g.scalar(tenantKey(i, "pwc_flushes"))
-            .inc(static_cast<double>(h.pwcFlushes));
-        g.scalar(tenantKey(i, "reg_hits"))
-            .inc(static_cast<double>(h.regHits));
-        g.scalar(tenantKey(i, "reg_loads"))
-            .inc(static_cast<double>(h.regLoads));
-        g.scalar(tenantKey(i, "reg_saves"))
-            .inc(static_cast<double>(h.regSaves));
-        g.scalar(tenantKey(i, "switch_cycles"))
-            .inc(static_cast<double>(h.switchCycles));
-        g.scalar(tenantKey(i, "shootdown_cycles"))
-            .inc(static_cast<double>(h.shootdownCycles));
-        g.scalar(tenantKey(i, "coherence_cycles"))
-            .inc(static_cast<double>(h.coherenceCycles));
+        add("dispatches", h.dispatches);
+        add("ctx_switches", h.ctxSwitches);
+        add("migrations", h.migrations);
+        add("shootdowns", h.shootdowns);
+        add("tlb_flushes", h.tlbFlushes);
+        add("pwc_flushes", h.pwcFlushes);
+        add("reg_hits", h.regHits);
+        add("reg_loads", h.regLoads);
+        add("reg_saves", h.regSaves);
+        add("switch_cycles", h.switchCycles);
+        add("shootdown_cycles", h.shootdownCycles);
+        add("coherence_cycles", h.coherenceCycles);
     }
 }
 

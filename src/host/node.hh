@@ -4,9 +4,10 @@
  *
  * A HostNode time-slices N tenant testbeds over M simulated cores —
  * the cloud-density regime the paper never measures (one guest owns
- * each core there). Every tenant is a full shared-nothing testbed
- * (its own memory, caches, TLBs, page tables, DMT state) driven
- * through a resumable SimSession; the scheduler interleaves their
+ * each core there). Every tenant is one driver::Cell, the same
+ * build as a campaign cell: a shared-nothing testbed (its own
+ * memory, caches, TLBs, page tables, DMT state) driven through the
+ * cell's resumable SimSession. The scheduler interleaves their
  * access streams in round-robin or weighted slices and models what
  * real multiplexing costs:
  *

@@ -1,11 +1,8 @@
 #include "host/sweep.hh"
 
-#include <atomic>
-#include <mutex>
-#include <thread>
-
 #include "common/log.hh"
 #include "driver/json.hh"
+#include "driver/pool.hh"
 
 namespace dmt::host
 {
@@ -61,11 +58,8 @@ foldNodePoint(unsigned tenants_per_core, std::uint64_t rounds,
     return point;
 }
 
-namespace
-{
-
-NodePointResult
-runPoint(const NodeSweepConfig &config, unsigned tenants_per_core)
+HostNodeConfig
+nodeConfig(const NodeSweepConfig &config)
 {
     HostNodeConfig node;
     node.cores = config.cores;
@@ -77,12 +71,11 @@ runPoint(const NodeSweepConfig &config, unsigned tenants_per_core)
     node.scale = config.scale;
     node.baseSeed = config.baseSeed;
     node.sim = config.sim;
-
-    HostNode host(node, sweepTenants(config, tenants_per_core));
-    auto tenants = host.run();
-    return foldNodePoint(tenants_per_core, host.rounds(),
-                         std::move(tenants));
+    return node;
 }
+
+namespace
+{
 
 void
 emitSweepConfig(JsonWriter &json, const NodeSweepConfig &config)
@@ -138,44 +131,21 @@ runNodeSweep(const NodeSweepConfig &config, unsigned threads,
 {
     const std::vector<unsigned> &grid = config.tenantsPerCore;
     std::vector<NodePointResult> results(grid.size());
-    if (grid.empty())
-        return results;
-
-    if (threads == 0)
-        threads = 1;
-    threads =
-        std::min<unsigned>(threads, static_cast<unsigned>(grid.size()));
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMutex;
-
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= grid.size())
-                return;
+    driver::runJobs(
+        grid.size(), threads,
+        [&](std::size_t i) {
             // Shared-nothing: the whole node (every tenant testbed)
             // belongs to this point alone.
-            results[i] = runPoint(config, grid[i]);
-            const std::size_t finished = done.fetch_add(1) + 1;
-            if (progress) {
-                const std::lock_guard<std::mutex> lock(progressMutex);
+            HostNode host(nodeConfig(config),
+                          sweepTenants(config, grid[i]));
+            auto tenants = host.run();
+            results[i] = foldNodePoint(grid[i], host.rounds(),
+                                       std::move(tenants));
+        },
+        [&](std::size_t i, std::size_t finished) {
+            if (progress)
                 progress(results[i], finished, grid.size());
-            }
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (auto &th : pool)
-            th.join();
-    }
+        });
     return results;
 }
 

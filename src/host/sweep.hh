@@ -112,6 +112,12 @@ struct NodePointResult
 };
 
 /**
+ * The node every sweep point runs (only the tenant list differs from
+ * point to point), with no event logs.
+ */
+HostNodeConfig nodeConfig(const NodeSweepConfig &config);
+
+/**
  * The tenant list for one sweep point: `tenants_per_core × cores`
  * specs named t0, t1, ... with workloads assigned round-robin.
  * Deterministic — the tests use it to reproduce a point's tenants

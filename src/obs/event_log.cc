@@ -1,122 +1,11 @@
 #include "obs/event_log.hh"
 
-#include <cstring>
+#include <fstream>
 
 #include "common/log.hh"
 
 namespace dmt::obs
 {
-
-namespace
-{
-
-/** Flush the encode buffer once it grows past this many bytes. */
-constexpr std::size_t kFlushThreshold = 1u << 20;
-
-void
-put8(std::vector<unsigned char> &b, std::uint8_t v)
-{
-    b.push_back(v);
-}
-
-void
-put16(std::vector<unsigned char> &b, std::uint16_t v)
-{
-    b.push_back(static_cast<unsigned char>(v & 0xff));
-    b.push_back(static_cast<unsigned char>(v >> 8));
-}
-
-void
-put32(std::vector<unsigned char> &b, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        b.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-void
-put64(std::vector<unsigned char> &b, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        b.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-/** Bounds-checked little-endian reads over a byte span. */
-class ByteReader
-{
-  public:
-    ByteReader(const unsigned char *data, std::size_t size,
-               const std::string &path)
-        : data_(data), size_(size), path_(path)
-    {
-    }
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
-
-    std::uint16_t
-    u16()
-    {
-        need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    std::string
-    bytes(std::size_t n)
-    {
-        need(n);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return size_ - pos_; }
-
-  private:
-    void
-    need(std::size_t n)
-    {
-        if (size_ - pos_ < n)
-            fatal("corrupt event log %s: truncated at byte %zu",
-                  path_.c_str(), pos_);
-    }
-
-    const unsigned char *data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-    const std::string &path_;
-};
-
-} // namespace
 
 const char *
 eventPathName(EventPath path)
@@ -165,138 +54,89 @@ RingEventSink::drain()
 }
 
 FileEventSink::FileEventSink(const std::string &path)
-    : path_(path), os_(path, std::ios::binary | std::ios::trunc)
+    : log_(path, "event log")
 {
-    if (!os_.good())
-        fatal("cannot open event log %s for writing", path.c_str());
-    buffer_.reserve(kFlushThreshold + 4096);
     // Header with zeroed counts; finish() patches them in place.
-    buffer_.insert(buffer_.end(), kEventLogMagic,
-                   kEventLogMagic + sizeof(kEventLogMagic));
-    put32(buffer_, kEventLogVersion);
-    put32(buffer_, kEventRecordBytes);
-    put32(buffer_, kStepRecordBytes);
-    put32(buffer_, 0);  // reserved
-    put64(buffer_, 0);  // eventCount
-    put64(buffer_, 0);  // stepCount
-    put64(buffer_, 0);  // counterCount
+    std::vector<unsigned char> &b = log_.buffer();
+    b.insert(b.end(), kEventLogMagic,
+             kEventLogMagic + sizeof(kEventLogMagic));
+    putLe(b, kEventLogVersion, 4);
+    putLe(b, kEventRecordBytes, 4);
+    putLe(b, kStepRecordBytes, 4);
+    putLe(b, 0, 4);  // reserved
+    putLe(b, 0, 8);  // eventCount
+    putLe(b, 0, 8);  // stepCount
+    putLe(b, 0, 8);  // counterCount
 }
 
 FileEventSink::~FileEventSink()
 {
-    if (!finished_)
-        finish();
-}
-
-void
-FileEventSink::flushBuffer()
-{
-    if (buffer_.empty())
-        return;
-    os_.write(reinterpret_cast<const char *>(buffer_.data()),
-              static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
+    finish();
 }
 
 void
 FileEventSink::emit(const TranslationEvent &ev,
                     const std::vector<WalkStepCost> &steps)
 {
-    DMT_ASSERT(!finished_, "emit() after finish() on %s",
-               path_.c_str());
+    DMT_ASSERT(!log_.finished(), "emit() after finish() on %s",
+               path().c_str());
     DMT_ASSERT(steps.size() <= 255,
                "walk with %zu steps overflows the event record",
                steps.size());
-    put64(buffer_, ev.accessId);
-    put64(buffer_, ev.va);
-    put64(buffer_, ev.pa);
-    put32(buffer_, ev.walkCycles);
-    put16(buffer_, ev.seqRefs);
-    put16(buffer_, ev.parallelRefs);
-    put8(buffer_, ev.tlb);
-    put8(buffer_, ev.path);
-    put8(buffer_, ev.pageSize);
-    put8(buffer_, static_cast<std::uint8_t>(ev.pwcStartLevel));
-    put8(buffer_, ev.pwcHits);
-    put8(buffer_, ev.pwcMisses);
-    put8(buffer_, ev.nestedPwcHits);
-    put8(buffer_, ev.nestedPwcMisses);
-    put8(buffer_, ev.nestedWalks);
-    put8(buffer_, ev.dmtProbes);
-    put8(buffer_, ev.dmtFaults);
-    put8(buffer_, ev.flags);
-    put8(buffer_, ev.l1dHits);
-    put8(buffer_, ev.l1dMisses);
-    put8(buffer_, ev.l2Hits);
-    put8(buffer_, ev.l2Misses);
-    put8(buffer_, ev.llcHits);
-    put8(buffer_, ev.llcMisses);
-    put8(buffer_, ev.memAccesses);
-    put8(buffer_, static_cast<std::uint8_t>(steps.size()));
+    std::vector<unsigned char> &b = log_.buffer();
+    putLe(b, ev.accessId, 8);
+    putLe(b, ev.va, 8);
+    putLe(b, ev.pa, 8);
+    putLe(b, ev.walkCycles, 4);
+    putLe(b, ev.seqRefs, 2);
+    putLe(b, ev.parallelRefs, 2);
+    putLe(b, ev.tlb, 1);
+    putLe(b, ev.path, 1);
+    putLe(b, ev.pageSize, 1);
+    putLe(b, static_cast<std::uint8_t>(ev.pwcStartLevel), 1);
+    putLe(b, ev.pwcHits, 1);
+    putLe(b, ev.pwcMisses, 1);
+    putLe(b, ev.nestedPwcHits, 1);
+    putLe(b, ev.nestedPwcMisses, 1);
+    putLe(b, ev.nestedWalks, 1);
+    putLe(b, ev.dmtProbes, 1);
+    putLe(b, ev.dmtFaults, 1);
+    putLe(b, ev.flags, 1);
+    putLe(b, ev.l1dHits, 1);
+    putLe(b, ev.l1dMisses, 1);
+    putLe(b, ev.l2Hits, 1);
+    putLe(b, ev.l2Misses, 1);
+    putLe(b, ev.llcHits, 1);
+    putLe(b, ev.llcMisses, 1);
+    putLe(b, ev.memAccesses, 1);
+    putLe(b, static_cast<std::uint8_t>(steps.size()), 1);
     for (const auto &step : steps) {
         DMT_ASSERT(step.cycles <= 0xffffffffull,
                    "step cost %llu overflows the step record",
                    static_cast<unsigned long long>(step.cycles));
-        put64(buffer_, step.pa);
-        put32(buffer_, static_cast<std::uint32_t>(step.cycles));
-        put8(buffer_, static_cast<std::uint8_t>(step.dim));
-        put8(buffer_, static_cast<std::uint8_t>(step.level));
-        put8(buffer_, static_cast<std::uint8_t>(step.slot));
-        put8(buffer_, 0);
+        putLe(b, step.pa, 8);
+        putLe(b, static_cast<std::uint32_t>(step.cycles), 4);
+        putLe(b, static_cast<std::uint8_t>(step.dim), 1);
+        putLe(b, static_cast<std::uint8_t>(step.level), 1);
+        putLe(b, static_cast<std::uint8_t>(step.slot), 1);
+        putLe(b, 0, 1);
     }
     ++eventCount_;
     stepCount_ += steps.size();
-    if (buffer_.size() >= kFlushThreshold)
-        flushBuffer();
-}
-
-void
-FileEventSink::setCounters(const CounterMap &counters)
-{
-    counters_ = counters;
+    log_.maybeFlush();
 }
 
 void
 FileEventSink::finish()
 {
-    if (finished_)
-        return;
-    finished_ = true;
-    for (const auto &[name, value] : counters_) {
-        put32(buffer_, static_cast<std::uint32_t>(name.size()));
-        buffer_.insert(buffer_.end(), name.begin(), name.end());
-        put64(buffer_, value);
-    }
-    flushBuffer();
-    // Patch the header counts now that the totals are known.
-    std::vector<unsigned char> counts;
-    put64(counts, eventCount_);
-    put64(counts, stepCount_);
-    put64(counts, counters_.size());
-    os_.seekp(24);
-    os_.write(reinterpret_cast<const char *>(counts.data()),
-              static_cast<std::streamsize>(counts.size()));
-    os_.close();
-    if (!os_.good())
-        fatal("failed writing event log %s", path_.c_str());
+    log_.finish(24, {eventCount_, stepCount_});
 }
 
 EventLog
 readEventLog(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is.good())
-        fatal("cannot open event log %s", path.c_str());
-    std::vector<unsigned char> data(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
-    ByteReader r(data.data(), data.size(), path);
-
-    char magic[8];
-    for (char &c : magic)
-        c = static_cast<char>(r.u8());
-    if (std::memcmp(magic, kEventLogMagic, sizeof(magic)) != 0)
-        fatal("%s is not a .dmtevents file (bad magic)", path.c_str());
+    LogReader r(path, "event log");
+    r.expectMagic(kEventLogMagic, ".dmtevents");
     const std::uint32_t version = r.u32();
     if (version != kEventLogVersion)
         fatal("%s: unsupported event-log version %u", path.c_str(),
@@ -313,6 +153,7 @@ readEventLog(const std::string &path)
     const std::uint64_t eventCount = r.u64();
     const std::uint64_t stepCount = r.u64();
     const std::uint64_t counterCount = r.u64();
+    r.expectRecords(eventCount, kEventRecordBytes);
 
     EventLog log;
     log.events.reserve(eventCount);
@@ -365,17 +206,7 @@ readEventLog(const std::string &path)
               path.c_str(),
               static_cast<unsigned long long>(stepCount),
               static_cast<unsigned long long>(stepsSeen));
-    for (std::uint64_t i = 0; i < counterCount; ++i) {
-        const std::uint32_t nameLen = r.u32();
-        if (nameLen > 4096)
-            fatal("%s: implausible counter name length %u",
-                  path.c_str(), nameLen);
-        std::string name = r.bytes(nameLen);
-        log.counters[std::move(name)] = r.u64();
-    }
-    if (r.remaining() != 0)
-        fatal("%s: %zu trailing bytes after the counter footer",
-              path.c_str(), r.remaining());
+    log.counters = r.footer(counterCount);
     return log;
 }
 

@@ -44,11 +44,11 @@
 #define DMT_OBS_EVENT_LOG_HH
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/event.hh"
+#include "obs/log_codec.hh"
 
 namespace dmt::obs
 {
@@ -62,11 +62,10 @@ inline constexpr std::uint32_t kStepRecordBytes = 16;
 inline constexpr std::uint32_t kEventLogHeaderBytes = 48;
 
 /**
- * EventSink writing the binary log. Events are encoded into a
- * fixed-capacity buffer that is recycled (flushed to the stream) as
- * it fills, so memory use is bounded regardless of run length.
- * Call finish() (or let the destructor do it) to write the counter
- * footer and patch the header counts.
+ * EventSink writing the binary log through the shared LogWriter,
+ * whose recycled buffer bounds memory for any run length. Call
+ * finish() (or let the destructor do it) to write the counter footer
+ * and patch the header counts.
  */
 class FileEventSink : public EventSink
 {
@@ -82,24 +81,21 @@ class FileEventSink : public EventSink
               const std::vector<WalkStepCost> &steps) override;
 
     /** Attach the run's counters, written to the footer by finish(). */
-    void setCounters(const CounterMap &counters);
+    void setCounters(const CounterMap &counters)
+    {
+        log_.setCounters(counters);
+    }
 
     /** Flush, write the footer, patch the header, close the file. */
     void finish();
 
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return log_.path(); }
     std::uint64_t eventCount() const { return eventCount_; }
 
   private:
-    void flushBuffer();
-
-    std::string path_;
-    std::ofstream os_;
-    std::vector<unsigned char> buffer_;  //!< recycled encode buffer
-    CounterMap counters_;
+    LogWriter log_;
     std::uint64_t eventCount_ = 0;
     std::uint64_t stepCount_ = 0;
-    bool finished_ = false;
 };
 
 /** A fully decoded event log. */

@@ -1,220 +1,59 @@
 #include "obs/host_event.hh"
 
-#include <cstring>
-
 #include "common/log.hh"
 #include "obs/replay.hh"
 
 namespace dmt::obs
 {
 
-namespace
-{
-
-constexpr std::size_t kFlushThreshold = 1u << 20;
-
-void
-put16(std::vector<unsigned char> &b, std::uint16_t v)
-{
-    b.push_back(static_cast<unsigned char>(v & 0xff));
-    b.push_back(static_cast<unsigned char>(v >> 8));
-}
-
-void
-put32(std::vector<unsigned char> &b, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        b.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-void
-put64(std::vector<unsigned char> &b, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        b.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-/** Bounds-checked little-endian reads over a byte span. */
-class ByteReader
-{
-  public:
-    ByteReader(const unsigned char *data, std::size_t size,
-               const std::string &path)
-        : data_(data), size_(size), path_(path)
-    {
-    }
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
-
-    std::uint16_t
-    u16()
-    {
-        need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    std::string
-    bytes(std::size_t n)
-    {
-        need(n);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return size_ - pos_; }
-
-  private:
-    void
-    need(std::size_t n)
-    {
-        if (size_ - pos_ < n)
-            fatal("corrupt host event log %s: truncated at byte %zu",
-                  path_.c_str(), pos_);
-    }
-
-    const unsigned char *data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-    const std::string &path_;
-};
-
-std::string
-tenantKey(std::uint32_t tenant, const char *counter)
-{
-    return "host.t" + std::to_string(tenant) + "." + counter;
-}
-
-} // namespace
-
 FileHostEventSink::FileHostEventSink(const std::string &path)
-    : path_(path), os_(path, std::ios::binary | std::ios::trunc)
+    : log_(path, "host event log")
 {
-    if (!os_.good())
-        fatal("cannot open host event log %s for writing",
-              path.c_str());
-    buffer_.reserve(kFlushThreshold + 4096);
     // Header with zeroed counts; finish() patches them in place.
-    buffer_.insert(buffer_.end(), kHostEventLogMagic,
-                   kHostEventLogMagic + sizeof(kHostEventLogMagic));
-    put32(buffer_, kHostEventLogVersion);
-    put32(buffer_, kHostEventRecordBytes);
-    put64(buffer_, 0);  // recordCount
-    put64(buffer_, 0);  // counterCount
+    std::vector<unsigned char> &b = log_.buffer();
+    b.insert(b.end(), kHostEventLogMagic,
+             kHostEventLogMagic + sizeof(kHostEventLogMagic));
+    putLe(b, kHostEventLogVersion, 4);
+    putLe(b, kHostEventRecordBytes, 4);
+    putLe(b, 0, 8);  // recordCount
+    putLe(b, 0, 8);  // counterCount
 }
 
 FileHostEventSink::~FileHostEventSink()
 {
-    if (!finished_)
-        finish();
-}
-
-void
-FileHostEventSink::flushBuffer()
-{
-    if (buffer_.empty())
-        return;
-    os_.write(reinterpret_cast<const char *>(buffer_.data()),
-              static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
+    finish();
 }
 
 void
 FileHostEventSink::emit(const HostEvent &ev)
 {
-    DMT_ASSERT(!finished_, "emit() after finish() on %s",
-               path_.c_str());
-    buffer_.push_back(ev.kind);
-    buffer_.push_back(ev.core);
-    put16(buffer_, ev.flags);
-    put32(buffer_, ev.tenant);
-    put64(buffer_, ev.cycles);
-    put32(buffer_, ev.regHits);
-    put32(buffer_, ev.regLoads);
-    put32(buffer_, ev.regSaves);
-    put32(buffer_, ev.aux);
+    DMT_ASSERT(!log_.finished(), "emit() after finish() on %s",
+               path().c_str());
+    std::vector<unsigned char> &b = log_.buffer();
+    putLe(b, ev.kind, 1);
+    putLe(b, ev.core, 1);
+    putLe(b, ev.flags, 2);
+    putLe(b, ev.tenant, 4);
+    putLe(b, ev.cycles, 8);
+    putLe(b, ev.regHits, 4);
+    putLe(b, ev.regLoads, 4);
+    putLe(b, ev.regSaves, 4);
+    putLe(b, ev.aux, 4);
     ++recordCount_;
-    if (buffer_.size() >= kFlushThreshold)
-        flushBuffer();
-}
-
-void
-FileHostEventSink::setCounters(const CounterMap &counters)
-{
-    counters_ = counters;
+    log_.maybeFlush();
 }
 
 void
 FileHostEventSink::finish()
 {
-    if (finished_)
-        return;
-    finished_ = true;
-    for (const auto &[name, value] : counters_) {
-        put32(buffer_, static_cast<std::uint32_t>(name.size()));
-        buffer_.insert(buffer_.end(), name.begin(), name.end());
-        put64(buffer_, value);
-    }
-    flushBuffer();
-    std::vector<unsigned char> counts;
-    put64(counts, recordCount_);
-    put64(counts, counters_.size());
-    os_.seekp(16);
-    os_.write(reinterpret_cast<const char *>(counts.data()),
-              static_cast<std::streamsize>(counts.size()));
-    os_.close();
-    if (!os_.good())
-        fatal("failed writing host event log %s", path_.c_str());
+    log_.finish(16, {recordCount_});
 }
 
 HostEventLog
 readHostEventLog(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is.good())
-        fatal("cannot open host event log %s", path.c_str());
-    std::vector<unsigned char> data(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
-    ByteReader r(data.data(), data.size(), path);
-
-    char magic[8];
-    for (char &c : magic)
-        c = static_cast<char>(r.u8());
-    if (std::memcmp(magic, kHostEventLogMagic, sizeof(magic)) != 0)
-        fatal("%s is not a .dmthostevents file (bad magic)",
-              path.c_str());
+    LogReader r(path, "host event log");
+    r.expectMagic(kHostEventLogMagic, ".dmthostevents");
     const std::uint32_t version = r.u32();
     if (version != kHostEventLogVersion)
         fatal("%s: unsupported host-event-log version %u",
@@ -225,6 +64,7 @@ readHostEventLog(const std::string &path)
               path.c_str(), recordBytes, kHostEventRecordBytes);
     const std::uint64_t recordCount = r.u64();
     const std::uint64_t counterCount = r.u64();
+    r.expectRecords(recordCount, kHostEventRecordBytes);
 
     HostEventLog log;
     log.records.reserve(recordCount);
@@ -241,18 +81,14 @@ readHostEventLog(const std::string &path)
         ev.aux = r.u32();
         log.records.push_back(ev);
     }
-    for (std::uint64_t i = 0; i < counterCount; ++i) {
-        const std::uint32_t nameLen = r.u32();
-        if (nameLen > 4096)
-            fatal("%s: implausible counter name length %u",
-                  path.c_str(), nameLen);
-        std::string name = r.bytes(nameLen);
-        log.counters[std::move(name)] = r.u64();
-    }
-    if (r.remaining() != 0)
-        fatal("%s: %zu trailing bytes after the counter footer",
-              path.c_str(), r.remaining());
+    log.counters = r.footer(counterCount);
     return log;
+}
+
+std::string
+hostCounterKey(std::uint32_t tenant, const char *name)
+{
+    return "host.t" + std::to_string(tenant) + "." + name;
 }
 
 CounterMap
@@ -263,26 +99,26 @@ reconstructHostCounters(const std::vector<HostEvent> &records)
         const std::uint32_t t = ev.tenant;
         switch (static_cast<HostEventKind>(ev.kind)) {
           case HostEventKind::Dispatch:
-            ++m[tenantKey(t, "dispatches")];
+            ++m[hostCounterKey(t, "dispatches")];
             break;
           case HostEventKind::CtxSwitch:
-            ++m[tenantKey(t, "ctx_switches")];
-            m[tenantKey(t, "switch_cycles")] += ev.cycles;
-            m[tenantKey(t, "reg_hits")] += ev.regHits;
-            m[tenantKey(t, "reg_loads")] += ev.regLoads;
-            m[tenantKey(t, "reg_saves")] += ev.regSaves;
+            ++m[hostCounterKey(t, "ctx_switches")];
+            m[hostCounterKey(t, "switch_cycles")] += ev.cycles;
+            m[hostCounterKey(t, "reg_hits")] += ev.regHits;
+            m[hostCounterKey(t, "reg_loads")] += ev.regLoads;
+            m[hostCounterKey(t, "reg_saves")] += ev.regSaves;
             if (ev.flags & kHostTlbFlushed)
-                ++m[tenantKey(t, "tlb_flushes")];
+                ++m[hostCounterKey(t, "tlb_flushes")];
             if (ev.flags & kHostPwcFlushed)
-                ++m[tenantKey(t, "pwc_flushes")];
+                ++m[hostCounterKey(t, "pwc_flushes")];
             break;
           case HostEventKind::Migration:
-            ++m[tenantKey(t, "migrations")];
+            ++m[hostCounterKey(t, "migrations")];
             break;
           case HostEventKind::Shootdown:
-            ++m[tenantKey(t, "shootdowns")];
-            m[tenantKey(t, "shootdown_cycles")] += ev.cycles;
-            m[tenantKey(t, "coherence_cycles")] += ev.aux;
+            ++m[hostCounterKey(t, "shootdowns")];
+            m[hostCounterKey(t, "shootdown_cycles")] += ev.cycles;
+            m[hostCounterKey(t, "coherence_cycles")] += ev.aux;
             break;
           default:
             fatal("host event record with unknown kind %u",

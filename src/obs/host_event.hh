@@ -38,11 +38,11 @@
 #define DMT_OBS_HOST_EVENT_HH
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/event.hh"
+#include "obs/log_codec.hh"
 
 namespace dmt::obs
 {
@@ -83,7 +83,8 @@ struct HostEvent
     std::uint32_t aux = 0;     //!< coherence cycles on Shootdown
 };
 
-/** Buffered .dmthostevents writer (mirrors FileEventSink). */
+/** Buffered .dmthostevents writer (the same LogWriter as
+ *  FileEventSink). */
 class FileHostEventSink
 {
   public:
@@ -97,23 +98,20 @@ class FileHostEventSink
     void emit(const HostEvent &event);
 
     /** Attach the node's counters, written to the footer. */
-    void setCounters(const CounterMap &counters);
+    void setCounters(const CounterMap &counters)
+    {
+        log_.setCounters(counters);
+    }
 
     /** Flush, write the footer, patch the header, close the file. */
     void finish();
 
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return log_.path(); }
     std::uint64_t recordCount() const { return recordCount_; }
 
   private:
-    void flushBuffer();
-
-    std::string path_;
-    std::ofstream os_;
-    std::vector<unsigned char> buffer_;
-    CounterMap counters_;
+    LogWriter log_;
     std::uint64_t recordCount_ = 0;
-    bool finished_ = false;
 };
 
 /** A fully decoded host-event log. */
@@ -125,6 +123,9 @@ struct HostEventLog
 
 /** Read and decode a .dmthostevents file; fatal on corrupt input. */
 HostEventLog readHostEventLog(const std::string &path);
+
+/** The footer key of one tenant's host counter: host.t<N>.<name>. */
+std::string hostCounterKey(std::uint32_t tenant, const char *name);
 
 /**
  * Rebuild the per-tenant host counters (`host.t<N>.*` keys) from the

@@ -7,7 +7,8 @@
  * run randomized traces through every environment with tracing on and
  * compare the counters rebuilt by obs::reconstructCounters against
  * the counters the structures themselves accumulated — exact
- * equality, no tolerance. On top of that: codec round-trips, byte
+ * equality, no tolerance. On top of that: codec round-trips, corrupt
+ * logs of both formats rejected with fatal(), byte
  * determinism with a checked-in digest (regenerate with
  * DMT_UPDATE_GOLDEN=1), exporter determinism, the Histogram overflow
  * one-shot warn, JsonWriter control-character escaping, and a guard
@@ -31,10 +32,12 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "driver/campaign.hh"
+#include "driver/cell.hh"
 #include "driver/json.hh"
 #include "obs/event.hh"
 #include "obs/event_log.hh"
 #include "obs/export.hh"
+#include "obs/host_event.hh"
 #include "obs/replay.hh"
 #include "sim/testbed.hh"
 #include "sim/translation_sim.hh"
@@ -91,7 +94,7 @@ expectDifferentialMatch(driver::CampaignEnv env, Design design,
                  "_" + workload + ".dmtevents");
 
     driver::runCell(*wl, env, design, scaledTestbedConfig(scale), cfg,
-                    seed, /*record_steps=*/false, path);
+                    seed, path);
 
     const obs::EventLog log = obs::readEventLog(path);
     ASSERT_EQ(log.events.size(),
@@ -278,6 +281,139 @@ TEST(EventSinks, IdenticalStreamsProduceIdenticalBytes)
 }
 
 // ---------------------------------------------------------------------
+// Corrupt logs: both readers (and so events_check) end in fatal(),
+// exit status 1 naming the file, never in an exception or in an
+// allocation sized by a corrupt header.
+// ---------------------------------------------------------------------
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+/** Write `bytes` to a new file of this process; return its path. */
+std::string
+writeBytes(const std::string &name, const std::string &bytes)
+{
+    const std::string path = tempPath(name);
+    std::ofstream os(path, std::ios::binary);
+    os << bytes;
+    return path;
+}
+
+/** Overwrite the u64 at `offset` with 2^62, little-endian. */
+std::string
+withHugeCount(std::string bytes, std::size_t offset)
+{
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    for (int i = 0; i < 8; ++i)
+        bytes[offset + i] = static_cast<char>((huge >> (8 * i)) & 0xff);
+    return bytes;
+}
+
+TEST(EventLogDeathTest, CorruptFilesAreFatal)
+{
+    const std::string valid = tempPath("valid.dmtevents");
+    {
+        obs::FileEventSink sink(valid);
+        for (std::uint64_t i = 0; i < 5; ++i) {
+            std::vector<WalkStepCost> steps;
+            if (i % 2)
+                steps = {{'g', 4, Cycles{30}, 1, 0x1000 + i},
+                         {'h', 1, Cycles{12}, 24, 0x2000 + i}};
+            sink.emit(syntheticEvent(i), steps);
+        }
+        sink.setCounters({{"sim.accesses", 5}});
+        sink.finish();
+    }
+    const std::string bytes = fileBytes(valid);
+    ASSERT_EQ(obs::readEventLog(valid).events.size(), 5u);
+
+    // The event count sits at byte 24 of the header.
+    const std::string huge =
+        writeBytes("huge.dmtevents", withHugeCount(bytes, 24));
+    EXPECT_EXIT(obs::readEventLog(huge), testing::ExitedWithCode(1),
+                "corrupt event log .*huge\\.dmtevents: header claims "
+                "4611686018427387904 records");
+
+    // Five records and their four steps take 324 bytes after the
+    // 48-byte header; stop inside the last record.
+    const std::string cut = writeBytes(
+        "truncated.dmtevents", bytes.substr(0, 48 + 300));
+    EXPECT_EXIT(obs::readEventLog(cut), testing::ExitedWithCode(1),
+                "corrupt event log .*truncated\\.dmtevents: truncated "
+                "at byte");
+
+    const std::string trailing =
+        writeBytes("trailing.dmtevents", bytes + "xx");
+    EXPECT_EXIT(obs::readEventLog(trailing),
+                testing::ExitedWithCode(1),
+                "trailing\\.dmtevents: 2 trailing bytes after the "
+                "counter footer");
+
+    std::string flipped = bytes;
+    flipped[0] = 'X';
+    const std::string magic = writeBytes("magic.dmtevents", flipped);
+    EXPECT_EXIT(obs::readEventLog(magic), testing::ExitedWithCode(1),
+                "magic\\.dmtevents is not a \\.dmtevents file");
+}
+
+TEST(HostEventLogDeathTest, CorruptFilesAreFatal)
+{
+    const std::string valid = tempPath("valid.dmthostevents");
+    {
+        obs::FileHostEventSink sink(valid);
+        for (std::uint32_t i = 0; i < 5; ++i) {
+            obs::HostEvent ev;
+            ev.kind = static_cast<std::uint8_t>(
+                obs::HostEventKind::Dispatch);
+            ev.tenant = i;
+            sink.emit(ev);
+        }
+        sink.setCounters({{"host.t0.dispatches", 1}});
+        sink.finish();
+    }
+    const std::string bytes = fileBytes(valid);
+    ASSERT_EQ(obs::readHostEventLog(valid).records.size(), 5u);
+
+    // The record count sits at byte 16 of the header.
+    const std::string huge =
+        writeBytes("huge.dmthostevents", withHugeCount(bytes, 16));
+    EXPECT_EXIT(obs::readHostEventLog(huge),
+                testing::ExitedWithCode(1),
+                "corrupt host event log .*huge\\.dmthostevents: header "
+                "claims 4611686018427387904 records");
+
+    // Stop inside the third 32-byte record (after the 32-byte
+    // header): the count no longer fits what follows.
+    const std::string cut = writeBytes(
+        "truncated.dmthostevents", bytes.substr(0, 32 + 2 * 32 + 10));
+    EXPECT_EXIT(obs::readHostEventLog(cut),
+                testing::ExitedWithCode(1),
+                "corrupt host event log .*truncated\\.dmthostevents: "
+                "header claims 5 records but only 74 bytes follow");
+
+    const std::string trailing =
+        writeBytes("trailing.dmthostevents", bytes + "xx");
+    EXPECT_EXIT(obs::readHostEventLog(trailing),
+                testing::ExitedWithCode(1),
+                "trailing\\.dmthostevents: 2 trailing bytes after the "
+                "counter footer");
+
+    std::string flipped = bytes;
+    flipped[0] = 'X';
+    const std::string magic =
+        writeBytes("magic.dmthostevents", flipped);
+    EXPECT_EXIT(obs::readHostEventLog(magic),
+                testing::ExitedWithCode(1),
+                "magic\\.dmthostevents is not a \\.dmthostevents file");
+}
+
+// ---------------------------------------------------------------------
 // Golden determinism: the golden-trace events file must match the
 // checked-in digest, byte for byte, on every run and thread count.
 // ---------------------------------------------------------------------
@@ -287,37 +423,19 @@ std::uint64_t
 runGoldenEvents(Design design, const std::string &eventsPath)
 {
     constexpr double kScale = 1.0 / 256.0;
-    constexpr std::uint64_t kWarmup = 5'000;
-    constexpr std::uint64_t kMeasure = 30'000;
+    SimConfig config;
+    config.warmupAccesses = 5'000;
+    config.measureAccesses = 30'000;
 
     auto workload = makeWorkload("GUPS", kScale);
-    NativeTestbed tb(workload->footprintBytes(),
-                     scaledTestbedConfig(kScale));
-    if (design == Design::Dmt)
-        tb.attachDmt();
-    workload->setup(tb.proc());
-    auto &mech = tb.build(design);
-
-    FileTrace trace(dataPath("golden_gups.dmttrace"));
-    TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-    SimConfig config;
-    config.warmupAccesses = kWarmup;
-    config.measureAccesses = kMeasure;
-
-    obs::FileEventSink sink(eventsPath);
-    StatGroup before("before");
-    tb.translationStats(before);
-    sim.setEventSink(&sink);
-    const SimResult res = sim.run(trace, config);
-    sim.setEventSink(nullptr);
-    StatGroup after("after");
-    tb.translationStats(after);
-    obs::CounterMap counters =
-        obs::diffCounters(obs::counterMapFromStats(before),
-                          obs::counterMapFromStats(after));
-    obs::addSimResultCounters(counters, res);
-    sink.setCounters(counters);
-    sink.finish();
+    {
+        driver::Cell cell(
+            *workload, driver::CampaignEnv::Native, design,
+            scaledTestbedConfig(kScale), config, /*seed=*/0, eventsPath,
+            std::make_unique<FileTrace>(dataPath("golden_gups.dmttrace")));
+        cell.session().advance();
+        cell.finish();
+    }
 
     // Every golden file must also self-verify.
     const obs::EventLog log = obs::readEventLog(eventsPath);
@@ -393,8 +511,7 @@ smallTracedLog()
     cfg.warmupAccesses = 500;
     cfg.measureAccesses = 2'000;
     driver::runCell(*wl, driver::CampaignEnv::Native, Design::Dmt,
-                    scaledTestbedConfig(1.0 / 256.0), cfg, 77,
-                    /*record_steps=*/false, path);
+                    scaledTestbedConfig(1.0 / 256.0), cfg, 77, path);
     return obs::readEventLog(path);
 }
 

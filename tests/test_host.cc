@@ -102,7 +102,7 @@ isolatedOracle(const TenantSpec &spec,
         kScale, spec.thp ? ThpMode::Always : ThpMode::Never);
     return driver::runCell(*workload, spec.env, spec.design, tb, sim,
                            HostNode::tenantSeed(kBaseSeed, spec),
-                           /*record_steps=*/true, events_path);
+                           events_path);
 }
 
 void
@@ -142,6 +142,15 @@ struct SingleTenantCase
     Design design;
     const char *tag;
 };
+
+// The test name's parameter comment shows the tag: gtest's default
+// would print the struct's bytes, the tag's address included, so the
+// name would change from one build to the next.
+void
+PrintTo(const SingleTenantCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
 
 class SingleTenantDifferential
     : public ::testing::TestWithParam<SingleTenantCase>
