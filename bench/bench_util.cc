@@ -2,11 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "common/log.hh"
 #include "driver/cli.hh"
 #include "driver/json.hh"
 
@@ -29,8 +25,8 @@ envCount(const char *name, std::uint64_t fallback, std::uint64_t min = 0)
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    const auto n = driver::parseCount(value);
-    if (!n || *n < min) {
+    const auto n = driver::parseCount(value, min);
+    if (!n) {
         std::fprintf(stderr,
                      "error: %s=\"%s\" is not a count%s\n", name, value,
                      min > 0 ? " of at least 1" : "");
@@ -149,18 +145,13 @@ Table::print() const
 
 JsonReport::JsonReport(int argc, char **argv,
                        std::string experiment)
-    : experiment_(std::move(experiment))
+    : experiment_(std::move(experiment)),
+      path_("BENCH_" + experiment_ + ".json")
 {
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--json") == 0) {
-            enabled_ = true;
-            path_ = "BENCH_" + experiment_ + ".json";
-        } else if (std::strncmp(arg, "--json=", 7) == 0) {
-            enabled_ = true;
-            path_ = arg + 7;
-        }
-    }
+    driver::parseFlags(
+        argc, argv,
+        {driver::optional(enabled_,
+                          driver::text("--json", "FILE", path_))});
 }
 
 JsonReport::~JsonReport()
@@ -182,40 +173,36 @@ JsonReport::write()
     if (!enabled_ || written_)
         return;
     written_ = true;
-    std::ofstream os(path_, std::ios::binary);
-    if (!os) {
-        warn("cannot open '%s' for writing; JSON report skipped",
-             path_.c_str());
-        return;
-    }
-    JsonWriter json(os);
-    json.beginObject();
-    json.field("schema", "dmt-bench-v1");
-    json.field("experiment", experiment_);
-    json.key("tables");
-    json.beginObject();
-    // std::map iteration: table names are emitted sorted.
-    for (const auto &[name, table] : tables_) {
-        json.key(name);
+    driver::writeFile(path_, [&](std::ostream &os) {
+        JsonWriter json(os);
         json.beginObject();
-        json.key("header");
-        json.beginArray();
-        for (const auto &cell : table.first)
-            json.value(cell);
-        json.endArray();
-        json.key("rows");
-        json.beginArray();
-        for (const auto &row : table.second) {
+        json.field("schema", "dmt-bench-v1");
+        json.field("experiment", experiment_);
+        json.key("tables");
+        json.beginObject();
+        // std::map iteration: table names are emitted sorted.
+        for (const auto &[name, table] : tables_) {
+            json.key(name);
+            json.beginObject();
+            json.key("header");
             json.beginArray();
-            for (const auto &cell : row)
+            for (const auto &cell : table.first)
                 json.value(cell);
             json.endArray();
+            json.key("rows");
+            json.beginArray();
+            for (const auto &row : table.second) {
+                json.beginArray();
+                for (const auto &cell : row)
+                    json.value(cell);
+                json.endArray();
+            }
+            json.endArray();
+            json.endObject();
         }
-        json.endArray();
         json.endObject();
-    }
-    json.endObject();
-    json.endObject();
+        json.endObject();
+    });
     std::printf("wrote %s\n", path_.c_str());
 }
 

@@ -15,9 +15,10 @@
  *   DMT_BENCH_SCALE     working-set scale denominator (default 16,
  *                       i.e. 1/16 of the paper's footprints)
  *
- * Every binary also accepts `--json[=PATH]`: emit the printed tables
- * as a machine-readable JSON document (default BENCH_<name>.json)
- * through the same deterministic emitter dmt-campaign uses.
+ * Every binary also accepts `--json[=PATH]`, and no other flag: emit
+ * the printed tables as a machine-readable JSON document (default
+ * BENCH_<name>.json) through the same deterministic emitter
+ * dmt-campaign uses.
  */
 
 #ifndef DMT_BENCH_BENCH_UTIL_HH
@@ -97,12 +98,15 @@ class Table
  * Construct it from argv at the top of main(); while disabled every
  * call is a no-op, so binaries register their tables unconditionally.
  * Tables are written (sorted by registration name) when write() or
- * the destructor runs.
+ * the destructor runs; a file that cannot be written is fatal().
  */
 class JsonReport
 {
   public:
-    /** Scans argv for --json[=PATH]; strips nothing, ignores rest. */
+    /**
+     * Parses argv: `--json[=PATH]` is the binary's only flag, and
+     * anything else exits 2 with the usage (driver::parseFlags).
+     */
     JsonReport(int argc, char **argv, std::string experiment);
     ~JsonReport();
 

@@ -17,14 +17,11 @@
  * never into the deterministic report.
  */
 
-#include <climits>
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,86 +48,34 @@ struct Options
     bool quiet = false;
 };
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--threads N] [--out FILE] [--timing-json FILE]\n"
-        "          [--workloads A,B,...] [--envs native,virt,nested]\n"
-        "          [--designs vanilla,shadow,fpt,ecpt,agile,asap,"
-        "dmt,pvdmt]\n"
-        "          [--thp] [--scale N] [--accesses N] [--warmup N]\n"
-        "          [--seed N] [--events-dir DIR] [--list] [--quiet]\n",
-        argv0);
-    std::exit(2);
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    if (opt.threads == 0)
-        opt.threads = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        auto count = [&](std::uint64_t max = UINT64_MAX) {
-            const auto v = parseCount(value(), max);
-            if (!v)
-                usage(argv[0]);
-            return *v;
-        };
-        if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(count(UINT_MAX));
-        else if (arg == "--out") opt.out = value();
-        else if (arg == "--timing-json") opt.timingJson = value();
-        else if (arg == "--workloads")
-            opt.campaign.workloads = splitList(value());
-        else if (arg == "--envs") {
-            opt.campaign.envs.clear();
-            for (const auto &e : splitList(value()))
-                opt.campaign.envs.push_back(parseEnv(e));
-        } else if (arg == "--designs") {
-            for (const auto &d : splitList(value()))
-                opt.campaign.designs.push_back(parseDesign(d));
-        } else if (arg == "--thp") opt.campaign.includeThp = true;
-        else if (arg == "--scale") {
-            const auto scale = parseScale(value());
-            if (!scale)
-                usage(argv[0]);
-            opt.campaign.scale = *scale;
-        }
-        else if (arg == "--accesses")
-            opt.campaign.sim.measureAccesses = count();
-        else if (arg == "--warmup")
-            opt.campaign.sim.warmupAccesses = count();
-        else if (arg == "--seed")
-            opt.campaign.baseSeed = count();
-        else if (arg == "--events-dir")
-            opt.campaign.eventsDir = value();
-        else if (arg == "--list") opt.list = true;
-        else if (arg == "--quiet") opt.quiet = true;
-        else usage(argv[0]);
-    }
-    if (opt.threads == 0)
-        opt.threads = 1;
-    return opt;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    const Flags flags = {
+        count("--threads", opt.threads),
+        text("--out", "FILE", opt.out),
+        text("--timing-json", "FILE", opt.timingJson),
+        choices("--workloads", workloadNames(), opt.campaign.workloads),
+        choices("--envs", envNames(), opt.campaign.envs),
+        choices("--designs", designNames(), opt.campaign.designs),
+        flag("--thp", opt.campaign.includeThp),
+        scale(opt.campaign.scale),
+        count("--accesses", opt.campaign.sim.measureAccesses),
+        count("--warmup", opt.campaign.sim.warmupAccesses),
+        count("--seed", opt.campaign.baseSeed),
+        text("--events-dir", "DIR", opt.campaign.eventsDir),
+        flag("--list", opt.list),
+        flag("--quiet", opt.quiet),
+    };
+    parseFlags(argc, argv, flags);
+    opt.threads = std::max(opt.threads, 1u);
     const auto cells = enumerateCells(opt.campaign);
     if (cells.empty())
-        fatal("campaign grid is empty; check --workloads/--envs/"
-              "--designs");
+        usageError(argv[0], flags,
+                   "no design of --designs is modelled in --envs");
 
     if (opt.list) {
         for (const auto &cell : cells) {
@@ -187,14 +132,9 @@ main(int argc, char **argv)
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
 
-    {
-        std::ofstream os(opt.out, std::ios::binary);
-        if (!os)
-            fatal("cannot open '%s' for writing", opt.out.c_str());
+    writeFile(opt.out, [&](std::ostream &os) {
         emitCampaignJson(os, opt.campaign, results);
-        if (!os.good())
-            fatal("error writing '%s'", opt.out.c_str());
-    }
+    });
     if (!opt.campaign.eventsDir.empty()) {
         // One digest per cell file: the cross-thread determinism
         // witness (indexes from --threads 1 and --threads 4 runs must
@@ -208,25 +148,18 @@ main(int argc, char **argv)
         }
         const std::string indexPath =
             opt.campaign.eventsDir + "/events_index.json";
-        std::ofstream os(indexPath, std::ios::binary);
-        if (!os)
-            fatal("cannot open '%s' for writing", indexPath.c_str());
-        obs::writeEventsIndexJson(os, entries);
-        if (!os.good())
-            fatal("error writing '%s'", indexPath.c_str());
+        writeFile(indexPath, [&](std::ostream &os) {
+            obs::writeEventsIndexJson(os, entries);
+        });
         if (!opt.quiet)
             std::printf("wrote %zu event logs + %s\n", entries.size(),
                         indexPath.c_str());
     }
     if (!opt.timingJson.empty()) {
-        std::ofstream os(opt.timingJson, std::ios::binary);
-        if (!os)
-            fatal("cannot open '%s' for writing",
-                  opt.timingJson.c_str());
-        emitTimingJson(os, opt.campaign, results, opt.threads,
-                       wall.count());
-        if (!os.good())
-            fatal("error writing '%s'", opt.timingJson.c_str());
+        writeFile(opt.timingJson, [&](std::ostream &os) {
+            emitTimingJson(os, opt.campaign, results, opt.threads,
+                           wall.count());
+        });
     }
 
     if (!opt.quiet) {

@@ -18,12 +18,11 @@
  * points would collide on tenant names).
  */
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "host/sweep.hh"
 
 using namespace dmt;
+using namespace dmt::driver;
 using namespace dmt::host;
 
 namespace
@@ -48,108 +48,54 @@ struct Options
     bool quiet = false;
 };
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--threads N] [--out FILE] [--sweep 1,4,16,...]\n"
-        "          [--cores N] [--workloads A,B,...]\n"
-        "          [--env native|virt|nested] [--design D] [--thp]\n"
-        "          [--slice N (accesses; 0 = run-to-completion)]\n"
-        "          [--policy tagged|full] [--weighted] [--migrate N]\n"
-        "          [--pinned N] [--scale N] [--accesses N]\n"
-        "          [--warmup N] [--seed N]\n"
-        "          [--events-dir DIR] [--host-events FILE] [--quiet]\n",
-        argv0);
-    std::exit(2);
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    // Benchmark-scale defaults; tests use the struct defaults.
-    opt.sweep.sim.warmupAccesses = 2'000;
-    opt.sweep.sim.measureAccesses = 20'000;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        auto countOf = [&](const std::string &text,
-                           std::uint64_t max = UINT64_MAX) {
-            const auto v = driver::parseCount(text, max);
-            if (!v)
-                usage(argv[0]);
-            return *v;
-        };
-        auto count = [&](std::uint64_t max = UINT64_MAX) {
-            return countOf(value(), max);
-        };
-        if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(count(UINT_MAX));
-        else if (arg == "--out") opt.out = value();
-        else if (arg == "--sweep") {
-            opt.sweep.tenantsPerCore.clear();
-            for (const auto &t : driver::splitList(value()))
-                opt.sweep.tenantsPerCore.push_back(
-                    static_cast<unsigned>(countOf(t, UINT_MAX)));
-        } else if (arg == "--cores")
-            opt.sweep.cores = static_cast<unsigned>(count(UINT_MAX));
-        else if (arg == "--workloads")
-            opt.sweep.workloads = driver::splitList(value());
-        else if (arg == "--env")
-            opt.sweep.env = driver::parseEnv(value());
-        else if (arg == "--design")
-            opt.sweep.design = driver::parseDesign(value());
-        else if (arg == "--thp") opt.sweep.thp = true;
-        else if (arg == "--slice")
-            opt.sweep.sliceAccesses = count();
-        else if (arg == "--policy")
-            opt.sweep.flush = parseFlushPolicy(value());
-        else if (arg == "--weighted")
-            opt.sweep.slice = SlicePolicy::Weighted;
-        else if (arg == "--migrate")
-            opt.sweep.migrateEveryRounds =
-                static_cast<unsigned>(count(UINT_MAX));
-        else if (arg == "--pinned")
-            opt.sweep.pinnedRegisters = static_cast<int>(count(INT_MAX));
-        else if (arg == "--scale") {
-            const auto scale = driver::parseScale(value());
-            if (!scale)
-                usage(argv[0]);
-            opt.sweep.scale = *scale;
-        }
-        else if (arg == "--accesses")
-            opt.sweep.sim.measureAccesses = count();
-        else if (arg == "--warmup")
-            opt.sweep.sim.warmupAccesses = count();
-        else if (arg == "--seed")
-            opt.sweep.baseSeed = count();
-        else if (arg == "--events-dir") opt.eventsDir = value();
-        else if (arg == "--host-events") opt.hostEvents = value();
-        else if (arg == "--quiet") opt.quiet = true;
-        else usage(argv[0]);
-    }
-    if (opt.threads == 0)
-        opt.threads = 1;
-    if (opt.sweep.tenantsPerCore.empty())
-        fatal("empty --sweep list");
-    if ((!opt.eventsDir.empty() || !opt.hostEvents.empty()) &&
-        opt.sweep.tenantsPerCore.size() != 1)
-        fatal("--events-dir/--host-events need a single-point "
-              "--sweep (tenant event files would collide)");
-    return opt;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    // Benchmark-scale defaults; tests use the struct defaults.
+    opt.sweep.sim.warmupAccesses = 2'000;
+    opt.sweep.sim.measureAccesses = 20'000;
+    bool weighted = false;
+    const Flags flags = {
+        count("--threads", opt.threads),
+        text("--out", "FILE", opt.out),
+        list<unsigned>("--sweep", "N,...", opt.sweep.tenantsPerCore,
+                       [](const std::string &n) {
+                           return parseCount(n, 1, UINT_MAX);
+                       }),
+        // A host event record holds the core id in a byte.
+        count("--cores", opt.sweep.cores, 1, 256),
+        choices("--workloads", workloadNames(), opt.sweep.workloads),
+        choice("--env", envNames(), opt.sweep.env),
+        choice("--design", designNames(), opt.sweep.design),
+        flag("--thp", opt.sweep.thp),
+        count("--slice", opt.sweep.sliceAccesses),  // 0: run to completion
+        choice("--policy",
+               names<FlushPolicy>({FlushPolicy::Tagged, FlushPolicy::Full},
+                                  flushPolicyId),
+               opt.sweep.flush),
+        flag("--weighted", weighted),
+        count("--migrate", opt.sweep.migrateEveryRounds),
+        count("--pinned", opt.sweep.pinnedRegisters),
+        scale(opt.sweep.scale),
+        count("--accesses", opt.sweep.sim.measureAccesses),
+        count("--warmup", opt.sweep.sim.warmupAccesses),
+        count("--seed", opt.sweep.baseSeed),
+        text("--events-dir", "DIR", opt.eventsDir),
+        text("--host-events", "FILE", opt.hostEvents),
+        flag("--quiet", opt.quiet),
+    };
+    parseFlags(argc, argv, flags);
+    opt.threads = std::max(opt.threads, 1u);
+    if (weighted)
+        opt.sweep.slice = SlicePolicy::Weighted;
+    if ((!opt.eventsDir.empty() || !opt.hostEvents.empty()) &&
+        opt.sweep.tenantsPerCore.size() != 1)
+        usageError(argv[0], flags,
+                   "--events-dir/--host-events need a single-point "
+                   "--sweep (tenant event files would collide)");
 
     if (!opt.quiet) {
         std::string grid;
@@ -205,12 +151,9 @@ main(int argc, char **argv)
         results = runNodeSweep(opt.sweep, opt.threads, progress);
     }
 
-    std::ofstream os(opt.out, std::ios::binary);
-    if (!os)
-        fatal("cannot open '%s' for writing", opt.out.c_str());
-    emitNodeJson(os, opt.sweep, results);
-    if (!os.good())
-        fatal("error writing '%s'", opt.out.c_str());
+    writeFile(opt.out, [&](std::ostream &os) {
+        emitNodeJson(os, opt.sweep, results);
+    });
     if (!opt.quiet)
         std::printf("node sweep done: %zu point(s) -> %s\n",
                     results.size(), opt.out.c_str());

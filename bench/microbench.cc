@@ -28,15 +28,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "driver/cell.hh"
@@ -79,63 +74,6 @@ struct BenchResult
         return safeOpsPerSec(ops, bestSeconds);
     }
 };
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--json[=PATH]] [--ops N] [--reps N] [--quiet]\n",
-        argv0);
-    std::exit(2);
-}
-
-/**
- * The value of a count flag: digits only, 1 to max. Anything else
- * names the flag and exits 2 through usage().
- */
-std::uint64_t
-countFlag(const char *argv0, const char *flag, const std::string &text,
-          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    const auto n = driver::parseCount(text, max);
-    if (!n || *n == 0) {
-        std::fprintf(stderr, "error: %s needs a count of at least 1, "
-                             "got \"%s\"\n",
-                     flag, text.c_str());
-        usage(argv0);
-    }
-    return *n;
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            opt.json = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            opt.json = true;
-            opt.jsonPath = arg.substr(7);
-        } else if (arg == "--ops") {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opt.ops = countFlag(argv[0], "--ops", argv[++i]);
-        } else if (arg == "--reps") {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opt.reps = static_cast<int>(countFlag(
-                argv[0], "--reps", argv[++i],
-                std::numeric_limits<int>::max()));
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else {
-            usage(argv[0]);
-        }
-    }
-    return opt;
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -326,7 +264,14 @@ benchEndToEnd(const std::string &name, Design design,
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    driver::parseFlags(
+        argc, argv,
+        {driver::optional(opt.json,
+                          driver::text("--json", "PATH", opt.jsonPath)),
+         driver::count("--ops", opt.ops, 1),
+         driver::count("--reps", opt.reps, 1),
+         driver::flag("--quiet", opt.quiet)});
 
     std::vector<BenchResult> results;
     results.push_back(benchPhysicalMemory(opt.ops, opt.reps));
@@ -355,37 +300,33 @@ main(int argc, char **argv)
     }
 
     if (opt.json) {
-        std::ofstream os(opt.jsonPath, std::ios::binary);
-        if (!os)
-            fatal("cannot open '%s' for writing",
-                  opt.jsonPath.c_str());
-        JsonWriter json(os);
-        json.beginObject();
-        json.field("schema", "dmt-microbench-v2");
-        json.key("config");
-        json.beginObject();
-        json.field("ops", opt.ops);
-        json.field("reps", static_cast<std::uint64_t>(opt.reps));
-        json.field("workload", "GUPS");
-        json.field("scale_denominator", 1.0 / kScale);
-        json.endObject();
-        json.key("results");
-        json.beginArray();
-        for (const auto &r : results) {
+        driver::writeFile(opt.jsonPath, [&](std::ostream &os) {
+            JsonWriter json(os);
             json.beginObject();
-            json.field("name", r.name);
-            json.field("ops", r.ops);
-            json.field("reps", static_cast<std::uint64_t>(r.reps));
-            json.field("best_seconds", r.bestSeconds);
-            json.field("ops_per_sec", r.opsPerSec());
-            json.field("rel_stddev", r.relStddev);
+            json.field("schema", "dmt-microbench-v2");
+            json.key("config");
+            json.beginObject();
+            json.field("ops", opt.ops);
+            json.field("reps", static_cast<std::uint64_t>(opt.reps));
+            json.field("workload", "GUPS");
+            json.field("scale_denominator", 1.0 / kScale);
             json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        os << "\n";
-        if (!os.good())
-            fatal("error writing '%s'", opt.jsonPath.c_str());
+            json.key("results");
+            json.beginArray();
+            for (const auto &r : results) {
+                json.beginObject();
+                json.field("name", r.name);
+                json.field("ops", r.ops);
+                json.field("reps", static_cast<std::uint64_t>(r.reps));
+                json.field("best_seconds", r.bestSeconds);
+                json.field("ops_per_sec", r.opsPerSec());
+                json.field("rel_stddev", r.relStddev);
+                json.endObject();
+            }
+            json.endArray();
+            json.endObject();
+            os << "\n";
+        });
     }
     return 0;
 }

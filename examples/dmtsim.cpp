@@ -23,9 +23,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "driver/cell.hh"
@@ -47,8 +44,8 @@ namespace
 struct Options
 {
     std::string workload = "GUPS";
-    std::string design = "vanilla";
-    std::string env = "native";
+    Design design = Design::Vanilla;
+    driver::CampaignEnv env = driver::CampaignEnv::Native;
     bool thp = false;
     double scale = 1.0 / 16.0;
     std::uint64_t accesses = 1'000'000;
@@ -61,69 +58,6 @@ struct Options
     bool audit = false;
     std::uint64_t auditInterval = 0;  //!< 0 = final sweep only
 };
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--workload Redis|Memcached|GUPS|BTree|Canneal|"
-        "XSBench|Graph500]\n"
-        "          [--design vanilla|shadow|fpt|ecpt|agile|asap|dmt|"
-        "pvdmt]\n"
-        "          [--env native|virt|nested] [--thp] [--scale N]\n"
-        "          [--accesses N] [--warmup N] [--seed N]\n"
-        "          [--audit[=N]] [--json FILE] [--events FILE]\n"
-        "          [--record-trace FILE] [--trace FILE]\n",
-        argv0);
-    std::exit(2);
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        auto count = [&](const std::string &text) {
-            const auto v = driver::parseCount(text);
-            if (!v)
-                usage(argv[0]);
-            return *v;
-        };
-        if (arg == "--workload") opt.workload = value();
-        else if (arg == "--design") opt.design = value();
-        else if (arg == "--env") opt.env = value();
-        else if (arg == "--thp") opt.thp = true;
-        else if (arg == "--scale") {
-            const auto scale = driver::parseScale(value());
-            if (!scale)
-                usage(argv[0]);
-            opt.scale = *scale;
-        }
-        else if (arg == "--accesses") opt.accesses = count(value());
-        else if (arg == "--warmup") opt.warmup = count(value());
-        else if (arg == "--seed") opt.seed = count(value());
-        else if (arg == "--json") opt.jsonOut = value();
-        else if (arg == "--events") opt.eventsOut = value();
-        else if (arg.rfind("--events=", 0) == 0)
-            opt.eventsOut = arg.substr(std::strlen("--events="));
-        else if (arg == "--record-trace") opt.recordTrace = value();
-        else if (arg == "--trace") opt.traceFile = value();
-        else if (arg == "--audit") opt.audit = true;
-        else if (arg.rfind("--audit=", 0) == 0) {
-            opt.audit = true;
-            opt.auditInterval =
-                count(arg.substr(std::strlen("--audit=")));
-        }
-        else usage(argv[0]);
-    }
-    return opt;
-}
 
 void
 report(const SimResult &res, double coverage)
@@ -160,9 +94,24 @@ report(const SimResult &res, double coverage)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    driver::parseFlags(
+        argc, argv,
+        {driver::choice("--workload", driver::workloadNames(),
+                        opt.workload),
+         driver::choice("--design", driver::designNames(), opt.design),
+         driver::choice("--env", driver::envNames(), opt.env),
+         driver::flag("--thp", opt.thp), driver::scale(opt.scale),
+         driver::count("--accesses", opt.accesses),
+         driver::count("--warmup", opt.warmup),
+         driver::count("--seed", opt.seed),
+         driver::optional(opt.audit,
+                          driver::count("--audit", opt.auditInterval)),
+         driver::text("--json", "FILE", opt.jsonOut),
+         driver::text("--events", "FILE", opt.eventsOut),
+         driver::text("--record-trace", "FILE", opt.recordTrace),
+         driver::text("--trace", "FILE", opt.traceFile)});
     auto wl = makeWorkload(opt.workload, opt.scale);
-    const Design design = driver::parseDesign(opt.design);
 
     if (!opt.recordTrace.empty()) {
         // Record mode: lay out the workload, dump its trace, done.
@@ -179,13 +128,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (opt.env != "native" && opt.env != "virt" && opt.env != "nested")
-        usage(argv[0]);
-
     std::printf("%s / %s / %s%s, working set %.2f GB (1/%.0f of the "
                 "paper)\n",
-                opt.workload.c_str(), opt.design.c_str(),
-                opt.env.c_str(), opt.thp ? " +THP" : "",
+                opt.workload.c_str(), driver::designId(opt.design).c_str(),
+                driver::envId(opt.env).c_str(), opt.thp ? " +THP" : "",
                 static_cast<double>(wl->footprintBytes()) /
                     (1ull << 30),
                 1.0 / opt.scale);
@@ -211,7 +157,7 @@ main(int argc, char **argv)
         std::unique_ptr<TraceSource> trace;
         if (!opt.traceFile.empty())
             trace = std::make_unique<FileTrace>(opt.traceFile);
-        driver::Cell cell(*wl, driver::parseEnv(opt.env), design,
+        driver::Cell cell(*wl, opt.env, opt.design,
                           scaledTestbedConfig(opt.scale,
                                               opt.thp ? ThpMode::Always
                                                       : ThpMode::Never),
@@ -242,36 +188,35 @@ main(int argc, char **argv)
     const SimResult &res = out.sim;
     // Only the DMT designs have register coverage to report.
     const double coverage =
-        design == Design::Dmt || design == Design::PvDmt ? out.coverage
-                                                          : -1.0;
+        opt.design == Design::Dmt || opt.design == Design::PvDmt
+            ? out.coverage
+            : -1.0;
     report(res, coverage);
     if (!opt.jsonOut.empty()) {
-        std::ofstream os(opt.jsonOut, std::ios::binary);
-        if (!os)
-            fatal("cannot open '%s' for writing",
-                  opt.jsonOut.c_str());
-        JsonWriter json(os);
-        json.beginObject();
-        json.field("schema", "dmtsim-cell-v1");
-        json.field("env", opt.env);
-        json.field("workload", opt.workload);
-        json.field("design", opt.design);
-        json.field("thp", opt.thp);
-        json.field("seed", opt.seed);
-        json.field("accesses", res.accesses);
-        json.field("l1_tlb_hits", res.l1TlbHits);
-        json.field("stlb_hits", res.l2TlbHits);
-        json.field("walks", res.walks);
-        json.field("walk_cycles", res.walkCycles);
-        json.field("mean_walk_latency", res.meanWalkLatency());
-        json.field("overhead_per_access", res.overheadPerAccess());
-        json.field("seq_refs", res.seqRefs);
-        json.field("parallel_refs", res.parallelRefs);
-        json.field("mean_seq_refs", res.meanSeqRefs());
-        json.field("fallbacks", res.fallbacks);
-        if (coverage >= 0.0)
-            json.field("coverage", coverage);
-        json.endObject();
+        driver::writeFile(opt.jsonOut, [&](std::ostream &os) {
+            JsonWriter json(os);
+            json.beginObject();
+            json.field("schema", "dmtsim-cell-v1");
+            json.field("env", driver::envId(opt.env));
+            json.field("workload", opt.workload);
+            json.field("design", driver::designId(opt.design));
+            json.field("thp", opt.thp);
+            json.field("seed", opt.seed);
+            json.field("accesses", res.accesses);
+            json.field("l1_tlb_hits", res.l1TlbHits);
+            json.field("stlb_hits", res.l2TlbHits);
+            json.field("walks", res.walks);
+            json.field("walk_cycles", res.walkCycles);
+            json.field("mean_walk_latency", res.meanWalkLatency());
+            json.field("overhead_per_access", res.overheadPerAccess());
+            json.field("seq_refs", res.seqRefs);
+            json.field("parallel_refs", res.parallelRefs);
+            json.field("mean_seq_refs", res.meanSeqRefs());
+            json.field("fallbacks", res.fallbacks);
+            if (coverage >= 0.0)
+                json.field("coverage", coverage);
+            json.endObject();
+        });
         std::printf("wrote %s\n", opt.jsonOut.c_str());
     }
     if (opt.audit) {

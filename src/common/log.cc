@@ -55,6 +55,16 @@ fatal(const char *fmt, ...)
 }
 
 void
+usageExit(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(stderr, fmt, args);
+    va_end(args);
+    std::exit(2);
+}
+
+void
 warn(const char *fmt, ...)
 {
     if (logLevel() < LogLevel::Warn)

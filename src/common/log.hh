@@ -4,7 +4,8 @@
  *
  * panic()  — an internal simulator bug; never the user's fault. Aborts.
  * fatal()  — the simulation cannot continue due to a user error
- *            (bad configuration, invalid arguments). Exits with code 1.
+ *            (bad configuration, an unwritable file). Exits with code 1.
+ * usageExit() — a malformed command line. Exits with code 2.
  * warn()   — something is modelled approximately; keep going.
  * inform() — normal status output.
  */
@@ -44,6 +45,13 @@ LogLevel logLevel();
  * Report an unrecoverable user/configuration error and exit(1).
  */
 [[noreturn]] void fatal(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
+/**
+ * Report a command-line usage error: print the message (the error and
+ * the usage) to stderr and exit(2).
+ */
+[[noreturn]] void usageExit(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Report a non-fatal modelling concern. */

@@ -46,29 +46,6 @@ designId(Design design)
     return "?";
 }
 
-Design
-parseDesign(const std::string &name)
-{
-    for (Design d : {Design::Vanilla, Design::Shadow, Design::Fpt,
-                     Design::Ecpt, Design::Agile, Design::Asap,
-                     Design::Dmt, Design::PvDmt}) {
-        if (designId(d) == name)
-            return d;
-    }
-    fatal("unknown design '%s'", name.c_str());
-}
-
-CampaignEnv
-parseEnv(const std::string &name)
-{
-    for (CampaignEnv e : {CampaignEnv::Native, CampaignEnv::Virt,
-                          CampaignEnv::Nested}) {
-        if (envId(e) == name)
-            return e;
-    }
-    fatal("unknown environment '%s'", name.c_str());
-}
-
 std::vector<Design>
 validDesigns(CampaignEnv env)
 {

@@ -47,12 +47,6 @@ std::string envId(CampaignEnv env);
 /** Stable lowercase token for a design ("vanilla", "pvdmt", ...). */
 std::string designId(Design design);
 
-/** Parse a design token; fatal() on an unknown name. */
-Design parseDesign(const std::string &name);
-
-/** Parse an environment token; fatal() on an unknown name. */
-CampaignEnv parseEnv(const std::string &name);
-
 /** The designs modelled in an environment, in canonical order. */
 std::vector<Design> validDesigns(CampaignEnv env);
 

@@ -28,17 +28,6 @@ flushPolicyId(FlushPolicy policy)
     return policy == FlushPolicy::Full ? "full" : "tagged";
 }
 
-FlushPolicy
-parseFlushPolicy(const std::string &name)
-{
-    if (name == "full")
-        return FlushPolicy::Full;
-    if (name == "tagged")
-        return FlushPolicy::Tagged;
-    fatal("unknown flush policy '%s' (expected full|tagged)",
-          name.c_str());
-}
-
 /**
  * One tenant's complete execution context: its workload and the
  * shared-nothing cell built from it, whose resumable session the

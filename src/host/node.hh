@@ -80,9 +80,6 @@ enum class SlicePolicy
 /** Stable lowercase token ("full" / "tagged"). */
 std::string flushPolicyId(FlushPolicy policy);
 
-/** Parse a flush-policy token; fatal() on an unknown name. */
-FlushPolicy parseFlushPolicy(const std::string &name);
-
 /** One tenant: a (workload, env, design) identity plus QoS knobs. */
 struct TenantSpec
 {

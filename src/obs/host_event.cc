@@ -1,7 +1,6 @@
 #include "obs/host_event.hh"
 
 #include "common/log.hh"
-#include "obs/replay.hh"
 
 namespace dmt::obs
 {
@@ -126,14 +125,6 @@ reconstructHostCounters(const std::vector<HostEvent> &records)
         }
     }
     return m;
-}
-
-std::vector<std::string>
-verifyHostEventLog(const std::string &path)
-{
-    const HostEventLog log = readHostEventLog(path);
-    return compareCounters(log.counters,
-                           reconstructHostCounters(log.records));
 }
 
 } // namespace dmt::obs

@@ -136,13 +136,6 @@ std::string hostCounterKey(std::uint32_t tenant, const char *name);
  */
 CounterMap reconstructHostCounters(const std::vector<HostEvent> &records);
 
-/**
- * Verify one file end-to-end: decode, reconstruct, compare against
- * the footer under union-with-zero semantics.
- * @return one line per mismatching key (empty = verified).
- */
-std::vector<std::string> verifyHostEventLog(const std::string &path);
-
 } // namespace dmt::obs
 
 #endif // DMT_OBS_HOST_EVENT_HH

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "driver/campaign.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 
 using namespace dmt;
@@ -99,13 +100,20 @@ TEST(Campaign, EnumerationIsSortedAndFiltersInvalidDesigns)
 
 TEST(Campaign, DesignAndEnvTokensRoundTrip)
 {
-    for (const Design d : {Design::Vanilla, Design::Shadow,
-                           Design::Fpt, Design::Ecpt, Design::Agile,
-                           Design::Asap, Design::Dmt, Design::PvDmt})
-        EXPECT_EQ(parseDesign(designId(d)), d);
-    for (const CampaignEnv e : {CampaignEnv::Native, CampaignEnv::Virt,
-                                CampaignEnv::Nested})
-        EXPECT_EQ(parseEnv(envId(e)), e);
+    const std::vector<Design> designs = {
+        Design::Vanilla, Design::Shadow, Design::Fpt, Design::Ecpt,
+        Design::Agile,   Design::Asap,   Design::Dmt, Design::PvDmt};
+    ASSERT_EQ(designNames().size(), designs.size());
+    for (const Design d : designs)
+        EXPECT_EQ(lookup(designNames(), designId(d)), d);
+    const std::vector<CampaignEnv> envs = {
+        CampaignEnv::Native, CampaignEnv::Virt, CampaignEnv::Nested};
+    ASSERT_EQ(envNames().size(), envs.size());
+    for (const CampaignEnv e : envs)
+        EXPECT_EQ(lookup(envNames(), envId(e)), e);
+    ASSERT_EQ(workloadNames().size(), paperWorkloadNames().size());
+    for (const std::string &w : paperWorkloadNames())
+        EXPECT_EQ(lookup(workloadNames(), w), w);
 }
 
 /** The tentpole property: thread count never changes the report. */

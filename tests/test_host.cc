@@ -392,13 +392,13 @@ TEST(HostEvents, ReplayReconstructsSchedulerCountersExactly)
     const std::vector<HostTenantResult> results = host.run();
 
     // Self-verification: footer == reconstruction from records.
-    EXPECT_TRUE(obs::verifyHostEventLog(node.hostEventsPath).empty());
-
-    // And both equal the in-memory per-tenant stats, field by field.
     const obs::HostEventLog log =
         obs::readHostEventLog(node.hostEventsPath);
     const obs::CounterMap rec =
         obs::reconstructHostCounters(log.records);
+    EXPECT_TRUE(obs::compareCounters(log.counters, rec).empty());
+
+    // And both equal the in-memory per-tenant stats, field by field.
     bool sawMigration = false;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const host::HostTenantStats &h = results[i].host;

@@ -25,11 +25,19 @@ struct Case
     bool thp;
 };
 
+// gtest names each case by printing its parameter; without this it
+// would print the struct's bytes, the string's data pointer included,
+// so the name would change from one build and run to the next.
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.workload << (c.thp ? "_thp" : "_4k");
+}
+
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
-    return info.param.workload +
-           (info.param.thp ? "_thp" : "_4k");
+    return ::testing::PrintToString(info.param);
 }
 
 class VirtDesignSweep : public ::testing::TestWithParam<Case>

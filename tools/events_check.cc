@@ -18,47 +18,26 @@
  *   events_check FILE [--json OUT] [--chrome OUT] [--digest] [--quiet]
  *
  * Exit status: 0 if every reconstructed counter matches the footer,
- * 1 on any mismatch, 2 on usage errors.
+ * 1 on any mismatch or on a log or output file that cannot be read or
+ * written, 2 on usage errors.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "driver/cli.hh"
 #include "obs/event_log.hh"
 #include "obs/export.hh"
 #include "obs/host_event.hh"
 #include "obs/replay.hh"
 
+using namespace dmt;
+
 namespace
 {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s FILE [--json OUT] [--chrome OUT] "
-                 "[--digest] [--quiet]\n",
-                 argv0);
-    return 2;
-}
-
-bool
-writeFile(const std::string &path,
-          const std::function<void(std::ostream &)> &emit)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os) {
-        std::fprintf(stderr, "events_check: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    emit(os);
-    return os.good();
-}
 
 /** True if the file starts with the .dmthostevents magic. */
 bool
@@ -79,87 +58,50 @@ main(int argc, char **argv)
 {
     std::string file, jsonOut, chromeOut;
     bool digest = false, quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            jsonOut = argv[++i];
-        } else if (arg == "--chrome" && i + 1 < argc) {
-            chromeOut = argv[++i];
-        } else if (arg == "--digest") {
-            digest = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(argv[0]);
-        } else if (file.empty()) {
-            file = arg;
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (file.empty())
-        return usage(argv[0]);
-
-    if (isHostEventLog(file)) {
-        if (!jsonOut.empty() || !chromeOut.empty()) {
-            std::fprintf(stderr,
-                         "events_check: --json/--chrome do not apply "
-                         "to host-event logs\n");
-            return usage(argv[0]);
-        }
-        if (digest)
-            std::printf(
-                "%s  %s\n",
-                dmt::obs::digestString(dmt::obs::fileDigest(file))
-                    .c_str(),
-                file.c_str());
-        const std::vector<std::string> mismatches =
-            dmt::obs::verifyHostEventLog(file);
-        if (!mismatches.empty()) {
-            std::fprintf(
-                stderr,
-                "events_check: %zu counter mismatch(es) in %s\n",
-                mismatches.size(), file.c_str());
-            for (const std::string &m : mismatches)
-                std::fprintf(stderr, "  %s\n", m.c_str());
-            return 1;
-        }
-        if (!quiet) {
-            const dmt::obs::HostEventLog log =
-                dmt::obs::readHostEventLog(file);
-            std::printf("%s: %zu host events, %zu footer counters, "
-                        "all reconstructed exactly\n",
-                        file.c_str(), log.records.size(),
-                        log.counters.size());
-        }
-        return 0;
-    }
-
-    // readEventLog() is fatal() on malformed input — a corrupt log is
-    // a producer bug, not a condition to limp past.
-    const dmt::obs::EventLog log = dmt::obs::readEventLog(file);
-    const dmt::obs::CounterMap reconstructed =
-        dmt::obs::reconstructCounters(log.events);
-    const std::vector<std::string> mismatches =
-        dmt::obs::compareCounters(log.counters, reconstructed);
-
+    const driver::Flags flags = {
+        driver::text("", "FILE", file),
+        driver::text("--json", "OUT", jsonOut),
+        driver::text("--chrome", "OUT", chromeOut),
+        driver::flag("--digest", digest),
+        driver::flag("--quiet", quiet),
+    };
+    driver::parseFlags(argc, argv, flags);
+    const bool host = isHostEventLog(file);
+    if (host && (!jsonOut.empty() || !chromeOut.empty()))
+        driver::usageError(argv[0], flags,
+                           "--json/--chrome do not apply to host-event "
+                           "logs");
     if (digest)
         std::printf("%s  %s\n",
-                    dmt::obs::digestString(dmt::obs::fileDigest(file))
-                        .c_str(),
+                    obs::digestString(obs::fileDigest(file)).c_str(),
                     file.c_str());
 
-    if (!jsonOut.empty() &&
-        !writeFile(jsonOut, [&](std::ostream &os) {
-            dmt::obs::writeEventsJson(os, log, file);
-        }))
-        return 2;
-    if (!chromeOut.empty() &&
-        !writeFile(chromeOut, [&](std::ostream &os) {
-            dmt::obs::writeChromeTrace(os, log, file);
-        }))
-        return 2;
+    // One read per log, then one replay against its footer. The
+    // readers are fatal() on malformed input: a corrupt log is a
+    // producer bug, not a condition to limp past.
+    std::size_t records = 0, counters = 0;
+    std::vector<std::string> mismatches;
+    if (host) {
+        const obs::HostEventLog log = obs::readHostEventLog(file);
+        records = log.records.size();
+        counters = log.counters.size();
+        mismatches = obs::compareCounters(
+            log.counters, obs::reconstructHostCounters(log.records));
+    } else {
+        const obs::EventLog log = obs::readEventLog(file);
+        records = log.events.size();
+        counters = log.counters.size();
+        mismatches = obs::compareCounters(
+            log.counters, obs::reconstructCounters(log.events));
+        if (!jsonOut.empty())
+            driver::writeFile(jsonOut, [&](std::ostream &os) {
+                obs::writeEventsJson(os, log, file);
+            });
+        if (!chromeOut.empty())
+            driver::writeFile(chromeOut, [&](std::ostream &os) {
+                obs::writeChromeTrace(os, log, file);
+            });
+    }
 
     if (!mismatches.empty()) {
         std::fprintf(stderr,
@@ -170,9 +112,9 @@ main(int argc, char **argv)
         return 1;
     }
     if (!quiet)
-        std::printf(
-            "%s: %zu events, %zu footer counters, all reconstructed "
-            "exactly\n",
-            file.c_str(), log.events.size(), log.counters.size());
+        std::printf("%s: %zu %s, %zu footer counters, all "
+                    "reconstructed exactly\n",
+                    file.c_str(), records, host ? "host events" : "events",
+                    counters);
     return 0;
 }
