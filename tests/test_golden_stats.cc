@@ -9,9 +9,11 @@
  * path — TLB replacement, cache indexing, walk lengths, physical
  * memory contents — shows up here as an exact counter diff, even when
  * the aggregate campaign comparison might mask it at small scale.
- * A second golden pins the set-up state of a virt and a nested pvDMT
- * 4 KB cell (materialised frames and words, table pages, leaves and
- * free frames), which no access-loop counter reaches.
+ * Two more goldens pin the set-up state of a virt and a nested pvDMT
+ * cell, one pair with 4 KB pages and one with THP (materialised
+ * frames and words, table pages, leaves, data frames and huge
+ * mappings, free frames and free blocks per order), which no
+ * access-loop counter reaches.
  *
  * Regenerate the goldens (after an *intentional* behaviour change)
  * with:
@@ -209,7 +211,7 @@ TEST(GoldenStats, DmtCountersMatchGolden)
     checkAgainstGolden(Design::Dmt, "dmt");
 }
 
-/** Record one space's page-table shape under `prefix`. */
+/** Record one space's page-table shape and frames under `prefix`. */
 void
 addSpace(StatGroup &stats, const std::string &prefix,
          const AddressSpace &space)
@@ -218,15 +220,29 @@ addSpace(StatGroup &stats, const std::string &prefix,
         .inc(static_cast<double>(space.pageTable().tablePages()));
     stats.scalar(prefix + ".mapped_leaves")
         .inc(static_cast<double>(space.pageTable().mappedLeaves()));
+    stats.scalar(prefix + ".data_frames")
+        .inc(static_cast<double>(space.dataFrames()));
+    stats.scalar(prefix + ".huge_mappings")
+        .inc(static_cast<double>(space.hugeMappings()));
 }
 
-/** Record one allocator's free frames under `prefix`. */
+/**
+ * Record one allocator's free frames and its free blocks per order
+ * under `prefix`: the free lists decide which frames come next.
+ */
 void
 addAllocator(StatGroup &stats, const std::string &prefix,
              const BuddyAllocator &alloc)
 {
     stats.scalar(prefix + ".free_frames")
         .inc(static_cast<double>(alloc.freeFrames()));
+    for (int order = 0; order <= alloc.maxOrder(); ++order) {
+        const std::string name = prefix + ".free_blocks.order_" +
+                                 (order < 10 ? "0" : "") +
+                                 std::to_string(order);
+        stats.scalar(name).inc(
+            static_cast<double>(alloc.freeBlocksAt(order)));
+    }
 }
 
 /** Record a physical memory's materialised frames and words. */
@@ -241,16 +257,18 @@ addMemory(StatGroup &stats, const std::string &prefix,
 }
 
 /**
- * The set-up state of a virt and a nested pvDMT 4 KB cell after
- * build(): what eager container population, TEA moves and table
- * zeroing through guest-physical views leave behind. The access-loop
- * goldens above never reach those paths.
+ * The set-up state of a virt and a nested pvDMT cell after build():
+ * what eager container population, TEA grants spliced into the
+ * containers, TEA moves and table zeroing through guest-physical
+ * views leave behind. With THP, splicing demotes 2 MB container
+ * leaves at both nested levels. The access-loop goldens above never
+ * reach those paths.
  */
 StatGroup
-setupState()
+setupState(ThpMode thp, const std::string &nestedWorkload)
 {
     StatGroup stats("setup");
-    const TestbedConfig config = scaledTestbedConfig(kScale);
+    const TestbedConfig config = scaledTestbedConfig(kScale, thp);
     {
         auto workload = makeWorkload("Redis", kScale);
         VirtTestbed tb(workload->footprintBytes(), config);
@@ -264,7 +282,7 @@ setupState()
         addAllocator(stats, "virt.guest_alloc", tb.vm().guestAllocator());
     }
     {
-        auto workload = makeWorkload("XSBench", kScale);
+        auto workload = makeWorkload(nestedWorkload, kScale);
         NestedTestbed tb(workload->footprintBytes(), config);
         tb.attachPvDmt();
         workload->setup(tb.proc());
@@ -287,7 +305,15 @@ setupState()
 TEST(GoldenSetupState, PvDmt4KCellsMatchGolden)
 {
     expectMatchesGolden(dataPath("golden_setup_pvdmt_4k.json"),
-                        "pvdmt-4k-setup", setupState());
+                        "pvdmt-4k-setup",
+                        setupState(ThpMode::Never, "XSBench"));
+}
+
+TEST(GoldenSetupState, PvDmtThpCellsMatchGolden)
+{
+    expectMatchesGolden(dataPath("golden_setup_pvdmt_thp.json"),
+                        "pvdmt-thp-setup",
+                        setupState(ThpMode::Always, "Redis"));
 }
 
 } // namespace
