@@ -152,6 +152,8 @@ JsonReport::JsonReport(int argc, char **argv,
         argc, argv,
         {driver::optional(enabled_,
                           driver::text("--json", "FILE", path_))});
+    if (enabled_)
+        driver::checkWritable(path_);
 }
 
 JsonReport::~JsonReport()

@@ -90,6 +90,9 @@ main(int argc, char **argv)
         std::printf("%zu cells\n", cells.size());
         return 0;
     }
+    checkWritable(opt.out);
+    if (!opt.timingJson.empty())
+        checkWritable(opt.timingJson);
 
     if (!opt.quiet) {
         std::printf("dmt-campaign: %zu cells on %u thread(s), "

@@ -96,6 +96,7 @@ main(int argc, char **argv)
         usageError(argv[0], flags,
                    "--events-dir/--host-events need a single-point "
                    "--sweep (tenant event files would collide)");
+    checkWritable(opt.out);
 
     if (!opt.quiet) {
         std::string grid;

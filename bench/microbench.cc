@@ -272,6 +272,8 @@ main(int argc, char **argv)
          driver::count("--ops", opt.ops, 1),
          driver::count("--reps", opt.reps, 1),
          driver::flag("--quiet", opt.quiet)});
+    if (opt.json)
+        driver::checkWritable(opt.jsonPath);
 
     std::vector<BenchResult> results;
     results.push_back(benchPhysicalMemory(opt.ops, opt.reps));
@@ -325,7 +327,6 @@ main(int argc, char **argv)
             }
             json.endArray();
             json.endObject();
-            os << "\n";
         });
     }
     return 0;

@@ -111,6 +111,8 @@ main(int argc, char **argv)
          driver::text("--events", "FILE", opt.eventsOut),
          driver::text("--record-trace", "FILE", opt.recordTrace),
          driver::text("--trace", "FILE", opt.traceFile)});
+    if (!opt.jsonOut.empty())
+        driver::checkWritable(opt.jsonOut);
     auto wl = makeWorkload(opt.workload, opt.scale);
 
     if (!opt.recordTrace.empty()) {

@@ -42,10 +42,8 @@ TeaHypercall::allocTea(std::uint64_t pages)
     }
 
     // Splice the host run into guest-physical space (vm_insert_pages).
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        const Addr hva = vm_.gpaToHva((*gpaBase + i) << pageShift);
-        vm_.containerSpace().replaceBacking(hva, *hostBase + i);
-    }
+    vm_.containerSpace().replaceBacking(
+        vm_.gpaToHva(*gpaBase << pageShift), *hostBase, pages);
 
     TeaGrant grant;
     grant.gpaBasePfn = *gpaBase;
@@ -126,18 +124,11 @@ NestedTeaHypercall::allocTea(std::uint64_t pages)
     }
 
     // Splice at L0: the L1 run's backing becomes the L0 run.
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        const Addr hva =
-            stack_.vm1().gpaToHva((*l1Base + i) << pageShift);
-        stack_.vm1().containerSpace().replaceBacking(hva,
-                                                     *l0Base + i);
-    }
+    stack_.vm1().containerSpace().replaceBacking(
+        stack_.vm1().gpaToHva(*l1Base << pageShift), *l0Base, pages);
     // Splice at L1: the L2 run's backing becomes the L1 run.
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        const Addr l1va =
-            stack_.l2paToL1va((*l2Base + i) << pageShift);
-        stack_.l1Container().replaceBacking(l1va, *l1Base + i);
-    }
+    stack_.l1Container().replaceBacking(
+        stack_.l2paToL1va(*l2Base << pageShift), *l1Base, pages);
 
     TeaGrant grant;
     grant.gpaBasePfn = *l2Base;

@@ -4,8 +4,12 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
+
+#include <unistd.h>
 
 #include "common/log.hh"
 
@@ -198,6 +202,21 @@ writeFile(const std::string &path,
     os.close();
     if (!os)
         fatal("error writing '%s'", path.c_str());
+}
+
+void
+checkWritable(const std::string &path)
+{
+    const std::filesystem::path parent =
+        std::filesystem::path(path).parent_path();
+    const std::string dir = parent.empty() ? "." : parent.string();
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec) ||
+        ::access(dir.c_str(), W_OK) != 0) {
+        fatal("cannot open '%s' for writing: '%s' is not a writable "
+              "directory",
+              path.c_str(), dir.c_str());
+    }
 }
 
 } // namespace driver

@@ -3,7 +3,7 @@
  * The one command-line front end of every binary: a table of flags,
  * each a name, a value placeholder and a setter, one parser over it,
  * the name tables of designs, environments and workloads, and one
- * output-file writer.
+ * output-file writer with its up-front check.
  *
  * Any usage error (an unknown flag, a missing or malformed value, an
  * unknown name, an empty list) exits 2 naming the flag and value,
@@ -193,6 +193,13 @@ choices(std::string name, const Names<T> &table, std::vector<T> &out)
  */
 void writeFile(const std::string &path,
                const std::function<void(std::ostream &)> &emit);
+
+/**
+ * Check an output path right after parseFlags(), before any cell is
+ * built: fatal() naming the file, as writeFile() would after the
+ * run, unless its directory exists and is writable.
+ */
+void checkWritable(const std::string &path);
 
 } // namespace driver
 } // namespace dmt

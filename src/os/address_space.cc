@@ -1,6 +1,8 @@
 #include "os/address_space.hh"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -19,27 +21,19 @@ AddressSpace::AddressSpace(Memory &mem, BuddyAllocator &allocator,
 AddressSpace::~AddressSpace()
 {
     // Every owned frame goes back in one freeRuns(): the data leaves
-    // as runs of physically consecutive frames, with the spliced
-    // frames cut out of each 4 KB run by one lower_bound(), and the
-    // table pages the page table hands over. The buddy allocator
-    // coalesces maximally, so its free lists do not depend on the
-    // order or grouping frames come back in.
+    // as runs of physically consecutive frames, with the spliced runs
+    // cut out of each 4 KB run, and the table pages the page table
+    // hands over. The buddy allocator coalesces maximally, so its
+    // free lists do not depend on the order or grouping frames come
+    // back in.
     std::vector<FrameRun> runs;
     FrameRun run;         // the pending run
     bool run4K = false;   // of 4 KB leaves; a huge leaf is never spliced
     const auto flush = [&] {
-        Pfn from = run.base;
-        const Pfn end = run.base + run.pages;
-        if (run4K) {
-            for (auto it = spliced_.lower_bound(from);
-                 it != spliced_.end() && *it < end; ++it) {
-                if (*it > from)
-                    runs.push_back({from, *it - from});
-                from = *it + 1;
-            }
-        }
-        if (from < end)
-            runs.push_back({from, end - from});
+        if (run4K)
+            cutSpliced(run, runs);
+        else if (run.pages > 0)
+            runs.push_back(run);
     };
     pt_.forEachLeaf([&](Addr, Pfn pfn, PageSize size) {
         const std::uint64_t pages = pageBytesOf(size) >> pageShift;
@@ -179,51 +173,104 @@ AddressSpace::releaseRange(Addr base, Addr size)
         const Addr bytes = pageBytesOf(tr->size);
         const Addr pageBase = pageAlignDown(va, tr->size);
         pt_.unmap(pageBase);
-        const int order = tr->size == PageSize::Size2M ? 9 : 0;
         DMT_ASSERT(tr->size != PageSize::Size1G,
                    "1 GB data pages are not allocated by this OS");
-        // Spliced frames (replaceBacking) stay owned by their
-        // splicer; a 2 MB leaf is never spliced.
-        if (order == 9 || spliced_.erase(tr->pfn) == 0) {
-            allocator_.freePages(tr->pfn, order);
-            dataFrames_ -= (order == 9) ? 512 : 1;
-            if (order == 9)
-                --hugeMappings_;
+        if (tr->size == PageSize::Size2M) {
+            // A 2 MB leaf is never spliced.
+            allocator_.freePages(tr->pfn, 9);
+            dataFrames_ -= 512;
+            --hugeMappings_;
+        } else {
+            // A spliced frame (replaceBacking) stays its splicer's.
+            std::vector<FrameRun> owned;
+            cutSpliced({tr->pfn, 1}, owned);
+            if (!owned.empty()) {
+                allocator_.freePages(tr->pfn, 0);
+                --dataFrames_;
+            }
         }
         va = pageBase + bytes;
     }
 }
 
 void
-AddressSpace::replaceBacking(Addr va, Pfn new_frame)
+AddressSpace::cutSpliced(FrameRun run, std::vector<FrameRun> &owned)
 {
-    auto tr = pt_.translate(va);
-    DMT_ASSERT(tr.has_value(), "replaceBacking: va 0x%llx unmapped",
-               static_cast<unsigned long long>(va));
-    if (tr->size == PageSize::Size2M) {
-        const bool ok =
-            pt_.demote2M(pageAlignDown(va, PageSize::Size2M));
-        DMT_ASSERT(ok, "demote2M failed in replaceBacking");
-        DMT_ASSERT(hugeMappings_ > 0, "huge mapping underflow");
-        --hugeMappings_;
-        tr = pt_.translate(va);
+    Pfn from = run.base;
+    const Pfn end = run.base + run.pages;
+    // The first spliced run that ends after `from`.
+    auto it = spliced_.upper_bound(from);
+    if (it != spliced_.begin() && std::prev(it)->second > from)
+        --it;
+    while (it != spliced_.end() && it->first < end) {
+        const auto [base, runEnd] = *it;
+        it = spliced_.erase(it);
+        if (base < from)
+            spliced_.emplace(base, from);
+        else if (base > from)
+            owned.push_back({from, base - from});
+        if (runEnd > end) {
+            spliced_.emplace(end, runEnd);
+            from = end;
+            break;
+        }
+        from = runEnd;
     }
-    DMT_ASSERT(tr->size == PageSize::Size4K,
-               "replaceBacking expects 4 KB granularity");
-    const Addr pageVa = pageAlignDown(va);
-    const Pfn old = tr->pfn;
-    pt_.updateLeaf(pageVa, new_frame);
-    // Free the displaced frame only if this space owns it. A spliced
-    // frame (e.g. a prior gTEA grant re-pointed here) stays owned by
-    // its splicer.
-    if (spliced_.erase(old) == 0) {
-        allocator_.freePages(old, 0);
-        DMT_ASSERT(dataFrames_ > 0, "data frame underflow");
-        --dataFrames_;
+    if (from < end)
+        owned.push_back({from, end - from});
+}
+
+void
+AddressSpace::replaceBacking(Addr va, Pfn first_frame,
+                             std::uint64_t pages)
+{
+    DMT_ASSERT(pages > 0, "replaceBacking: no pages");
+    const Addr end = pageAlignDown(va) + (pages << pageShift);
+    Pfn frame = first_frame;
+    std::array<Pfn, ptesPerPage> displaced{};
+    for (Addr at = pageAlignDown(va); at < end;) {
+        const Addr span = pageAlignDown(at, PageSize::Size2M);
+        const Addr spanEnd = std::min(end, span + hugePageSize);
+        if (pt_.demote2M(span)) {
+            DMT_ASSERT(hugeMappings_ > 0, "huge mapping underflow");
+            --hugeMappings_;
+        }
+        const std::uint64_t n = (spanEnd - at) >> pageShift;
+        pt_.updateLeafSpan(at, spanEnd, frame, displaced.data());
+        // Free the displaced frames this space owns, as runs of
+        // consecutive frames. A spliced one (e.g. a prior grant
+        // re-pointed here) stays owned by its splicer.
+        std::vector<FrameRun> owned;
+        FrameRun run{displaced[0], 1};
+        for (std::uint64_t i = 1; i < n; ++i) {
+            if (displaced[i] == run.base + run.pages) {
+                ++run.pages;
+                continue;
+            }
+            cutSpliced(run, owned);
+            run = {displaced[i], 1};
+        }
+        cutSpliced(run, owned);
+        for (const FrameRun &r : owned) {
+            DMT_ASSERT(dataFrames_ >= r.pages, "data frame underflow");
+            dataFrames_ -= r.pages;
+        }
+        allocator_.freeRuns(std::move(owned));
+        frame += n;
+        at = spanEnd;
     }
-    const bool fresh = spliced_.insert(new_frame).second;
-    DMT_ASSERT(fresh, "replaceBacking: frame 0x%llx spliced twice",
-               static_cast<unsigned long long>(new_frame));
+    // The grant becomes one spliced run; it may touch, never overlap,
+    // the runs of earlier grants.
+    const Pfn runEnd = first_frame + pages;
+    const auto next = spliced_.lower_bound(first_frame);
+    DMT_ASSERT((next == spliced_.end() || next->first >= runEnd) &&
+                   (next == spliced_.begin() ||
+                    std::prev(next)->second <= first_frame),
+               "replaceBacking: frames 0x%llx..0x%llx overlap a "
+               "spliced run",
+               static_cast<unsigned long long>(first_frame),
+               static_cast<unsigned long long>(runEnd - 1));
+    spliced_.emplace_hint(next, first_frame, runEnd);
 }
 
 void

@@ -5,8 +5,9 @@
  * This is the simulated OS's per-process memory manager. It allocates
  * movable data frames from the buddy allocator, optionally as 2 MB
  * transparent huge pages. The page table is the only record of which
- * frames it owns: every leaf frame is owned except the few spliced in
- * by replaceBacking(), which are kept in a small set.
+ * frames it owns: every leaf frame is owned except those spliced in
+ * by replaceBacking(), which are kept as an ordered map of disjoint
+ * frame runs, one per grant until a displaced frame splits its run.
  *
  * For virtualization, the same class serves every level: a guest
  * address space is simply constructed over a guest-physical allocator
@@ -17,7 +18,8 @@
 #define DMT_OS_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <set>
+#include <map>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/memory.hh"
@@ -100,15 +102,24 @@ class AddressSpace
     void onFrameRelocated(Pfn from, Pfn to);
 
     /**
-     * Replace the physical backing of the 4 KB page containing va
-     * with a caller-owned frame (the vm_insert_pages analogue used by
-     * the pvDMT hypercall to splice host-contiguous gTEA frames into
-     * the guest). A covering 2 MB mapping is demoted first. The old
-     * frame is freed unless it was itself spliced in; the new frame
-     * stays owned by the caller and is never freed by this space,
-     * not even when the caller releases it before this space dies.
+     * Replace the physical backing of `pages` 4 KB pages, from the
+     * one containing va up, with the caller-owned frames first_frame,
+     * first_frame + 1, ... (the vm_insert_pages analogue used by the
+     * pvDMT hypercall to splice a host-contiguous gTEA run into the
+     * guest). Every page must be mapped.
+     *
+     * One 2 MB span at a time: a covering 2 MB mapping is demoted,
+     * the span's leaves are re-pointed, and the displaced frames this
+     * space owns are freed in one BuddyAllocator::freeRuns(); one
+     * that was itself spliced in stays its splicer's. The allocators
+     * end as replacing each page on its own would leave them (a
+     * demotion's table page is allocated after the previous span's
+     * frames are freed). The new frames stay owned by the caller and
+     * are never freed by this space, not even when the caller
+     * releases them before this space dies; panics if one of them is
+     * spliced here already.
      */
-    void replaceBacking(Addr va, Pfn new_frame);
+    void replaceBacking(Addr va, Pfn first_frame, std::uint64_t pages);
 
     /** Number of data frames (4 KB units) currently allocated. */
     std::uint64_t dataFrames() const { return dataFrames_; }
@@ -131,13 +142,21 @@ class AddressSpace
     /** Unmap + free frames for every mapped page of a range. */
     void releaseRange(Addr base, Addr size);
 
+    /**
+     * Cut the frames of `run` out of the spliced runs, splitting a
+     * run that overlaps only part of it, and append to `owned` the
+     * parts of `run` that no spliced run covers: this space's own.
+     */
+    void cutSpliced(FrameRun run, std::vector<FrameRun> &owned);
+
     Memory &mem_;
     BuddyAllocator &allocator_;
     AddressSpaceConfig config_;
     VmaTree vmas_;
     RadixPageTable pt_;
-    /** Frames mapped here but owned by their splicer. */
-    std::set<Pfn> spliced_;
+    /** Frames mapped here but owned by their splicer: disjoint runs,
+     *  base -> end (exclusive). */
+    std::map<Pfn, Pfn> spliced_;
     std::uint64_t dataFrames_ = 0;
     std::uint64_t hugeMappings_ = 0;
 };

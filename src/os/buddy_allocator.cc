@@ -17,6 +17,9 @@ BuddyAllocator::BuddyAllocator(Pfn num_frames, int max_order)
     DMT_ASSERT(max_order >= 0 && max_order < 40, "bad max order");
     freeLists_.resize(maxOrder_ + 1);
     kinds_.assign(numFrames_, FrameKind::Free);
+    chunkFree_.resize((numFrames_ + chunkMask) >> chunkShift);
+    for (std::size_t c = 0; c < chunkFree_.size(); ++c)
+        chunkFree_[c] = static_cast<std::uint16_t>(chunkFrames(c));
     freeFrames_ = numFrames_;
     // Seed the free lists with maximal aligned blocks. Bypass the
     // accounting in freeFrameRange by building blocks directly.
@@ -82,42 +85,87 @@ BuddyAllocator::setKind(Pfn base, std::uint64_t n, FrameKind kind)
 {
     DMT_ASSERT(base + n <= numFrames_, "range out of bounds");
     std::memset(kinds_.data() + base, static_cast<int>(kind), n);
+    const bool freeing = kind == FrameKind::Free;
+    for (Pfn b = base, end = base + n; b < end;) {
+        const Pfn chunkEnd = std::min(end, (b | chunkMask) + 1);
+        const auto overlap = static_cast<std::uint16_t>(chunkEnd - b);
+        std::uint16_t &count = chunkFree_[b >> chunkShift];
+        count = static_cast<std::uint16_t>(freeing ? count + overlap
+                                                   : count - overlap);
+        b = chunkEnd;
+    }
 }
+
+namespace
+{
+
+/**
+ * @return the first nonzero byte of [from, to), or `to`. No libc
+ * call finds the first byte *unequal* to a value, so this tests eight
+ * bytes per load; the byte loops cover the unaligned edges.
+ */
+Pfn
+firstNonZero(const unsigned char *bytes, Pfn from, Pfn to)
+{
+    for (; from < to && (from & 7) != 0; ++from) {
+        if (bytes[from] != 0)
+            return from;
+    }
+    for (; from + 8 <= to; from += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, bytes + from, sizeof(word));
+        if (word != 0)
+            break;
+    }
+    for (; from < to; ++from) {
+        if (bytes[from] != 0)
+            return from;
+    }
+    return to;
+}
+
+} // namespace
 
 Pfn
 BuddyAllocator::firstFree(Pfn from, Pfn to) const
 {
-    if (from >= to)
-        return to;
-    const void *hit = std::memchr(kinds_.data() + from,
-                                  static_cast<int>(FrameKind::Free),
-                                  to - from);
-    return hit ? static_cast<Pfn>(static_cast<const FrameKind *>(hit) -
-                                  kinds_.data())
-               : to;
+    // Skip the chunks with no free frame; search the kinds of the
+    // others.
+    while (from < to) {
+        const Pfn chunkEnd = std::min(to, (from | chunkMask) + 1);
+        if (chunkFree_[from >> chunkShift] != 0) {
+            const void *hit = std::memchr(
+                kinds_.data() + from, static_cast<int>(FrameKind::Free),
+                chunkEnd - from);
+            if (hit) {
+                return static_cast<Pfn>(
+                    static_cast<const FrameKind *>(hit) - kinds_.data());
+            }
+        }
+        from = chunkEnd;
+    }
+    return to;
 }
 
 Pfn
 BuddyAllocator::firstUsed(Pfn from, Pfn to) const
 {
-    // No libc call finds the first byte *unequal* to a value, so
-    // test eight kinds per load; Free is 0, so a used frame makes
-    // the word nonzero. The byte loops cover the unaligned edges.
+    // A chunk with no free frame answers at once, and an all-free
+    // one is skipped; only the kinds of mixed chunks are read. Free
+    // is 0, so a used frame is a nonzero kind byte.
     const auto *kinds = reinterpret_cast<const unsigned char *>(
         kinds_.data());
-    for (; from < to && (from & 7) != 0; ++from) {
-        if (kinds[from] != 0)
+    while (from < to) {
+        const std::size_t c = from >> chunkShift;
+        const Pfn chunkEnd = std::min(to, (from | chunkMask) + 1);
+        if (chunkFree_[c] == 0)
             return from;
-    }
-    for (; from + 8 <= to; from += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, kinds + from, sizeof(word));
-        if (word != 0)
-            break;
-    }
-    for (; from < to; ++from) {
-        if (kinds[from] != 0)
-            return from;
+        if (chunkFree_[c] != chunkFrames(c)) {
+            const Pfn used = firstNonZero(kinds, from, chunkEnd);
+            if (used != chunkEnd)
+                return used;
+        }
+        from = chunkEnd;
     }
     return to;
 }
@@ -478,13 +526,26 @@ BuddyAllocator::audit(AuditSink &sink) const
                     static_cast<unsigned long long>(totalFree),
                     static_cast<unsigned long long>(freeFrames_));
     std::uint64_t allocated = 0;
+    std::uint64_t chunkFree = 0;
     for (Pfn i = 0; i < numFrames_; ++i) {
         if (kinds_[i] == FrameKind::Free) {
             DMT_AUDIT_CHECK(sink, covered[i],
                             "free frame 0x%llx not in any free list",
                             static_cast<unsigned long long>(i));
+            ++chunkFree;
         } else {
             ++allocated;
+        }
+        // A stale count would let first fit skip a free run or take
+        // a used one.
+        if ((i & chunkMask) == chunkMask || i + 1 == numFrames_) {
+            const std::size_t c = i >> chunkShift;
+            DMT_AUDIT_CHECK(sink, chunkFree_[c] == chunkFree,
+                            "chunk %zu summary holds %u free frames, "
+                            "its kinds %llu",
+                            c, static_cast<unsigned>(chunkFree_[c]),
+                            static_cast<unsigned long long>(chunkFree));
+            chunkFree = 0;
         }
     }
     DMT_AUDIT_CHECK(sink, allocated + freeFrames_ == numFrames_,

@@ -13,11 +13,16 @@
  *    Linux extfrag index used by the paper's §6.3 experiment;
  *  - two-finger compaction with a relocation hook so page tables can
  *    be fixed up when data frames move.
+ *
+ * First fit (allocContig) and the in-place checks scan the per-frame
+ * kinds only inside 512-frame chunks that a per-chunk free-frame
+ * count says can hold an answer, so they never sweep used memory.
  */
 
 #ifndef DMT_OS_BUDDY_ALLOCATOR_HH
 #define DMT_OS_BUDDY_ALLOCATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -169,8 +174,9 @@ class BuddyAllocator
      * broken free-list or accounting invariant — misaligned,
      * overlapping, or out-of-range free blocks; uncoalesced buddies;
      * frames marked free but absent from every free list (the
-     * signature of a double free); and accounted frames not summing
-     * to the configured physical size.
+     * signature of a double free); accounted frames not summing to
+     * the configured physical size; and a chunk whose free-frame
+     * count disagrees with its frames' kinds.
      */
     void audit(AuditSink &sink) const;
 
@@ -204,7 +210,12 @@ class BuddyAllocator
      */
     void claimRange(Pfn start, Pfn end, FrameKind kind);
 
-    /** Mark the frames of a claimed/owned range. */
+    /**
+     * Mark the frames of a range that is uniformly free and becomes
+     * used (kind != Free), or is uniformly used and becomes free
+     * (kind == Free): every caller flips one of the two ways, so the
+     * chunk counts move by the range's overlap with each chunk.
+     */
     void setKind(Pfn base, std::uint64_t n, FrameKind kind);
 
     /** @return the first free frame in [from, to), or `to`. */
@@ -213,11 +224,24 @@ class BuddyAllocator
     /** @return the first allocated frame in [from, to), or `to`. */
     Pfn firstUsed(Pfn from, Pfn to) const;
 
+    /** Frames per chunk of the free-frame summary (log2). */
+    static constexpr int chunkShift = 9;
+    static constexpr Pfn chunkMask = (Pfn{1} << chunkShift) - 1;
+
+    /** @return the frames of chunk c (fewer in a ragged last one). */
+    std::uint64_t
+    chunkFrames(std::size_t c) const
+    {
+        return std::min<std::uint64_t>(
+            chunkMask + 1, numFrames_ - (Pfn{c} << chunkShift));
+    }
+
     Pfn numFrames_;
     int maxOrder_;
     std::uint64_t freeFrames_ = 0;
     std::vector<std::set<Pfn>> freeLists_;  //!< per order, base-sorted
     std::vector<FrameKind> kinds_;          //!< per frame
+    std::vector<std::uint16_t> chunkFree_;  //!< free frames per chunk
     RelocationHook relocHook_;
     InvariantAuditor *auditor_ = nullptr;
     int auditHookId_ = 0;

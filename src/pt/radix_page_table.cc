@@ -491,6 +491,40 @@ RadixPageTable::updateLeaf(Addr va, Pfn new_pfn)
     panic("updateLeaf: walk fell off the tree");
 }
 
+void
+RadixPageTable::updateLeafSpan(Addr va, Addr end, Pfn first_pfn,
+                               Pfn *displaced)
+{
+    DMT_ASSERT(va < end && ((va | end) & pageMask) == 0 &&
+                   spanBase(va, 1) == spanBase(end - 1, 1),
+               "updateLeafSpan: [0x%llx, 0x%llx) is not a page range "
+               "of one leaf table",
+               static_cast<unsigned long long>(va),
+               static_cast<unsigned long long>(end));
+    const Pfn table = leafTableOf(va);
+    DMT_ASSERT(table != noTable && table != hugeLeaf,
+               "updateLeafSpan: va 0x%llx has no 4 KB leaf table",
+               static_cast<unsigned long long>(va));
+    const Addr slots = entrySlot(table, va, 1);
+    const int n = static_cast<int>((end - va) >> pageShift);
+    TableWords ptes{};
+    mem_.readWords(slots, ptes.data(), n);
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t pte = ptes[i];
+        DMT_ASSERT(pteIsPresent(pte), "updateLeafSpan: va 0x%llx not "
+                   "mapped",
+                   static_cast<unsigned long long>(
+                       va + (static_cast<Addr>(i) << pageShift)));
+        displaced[i] = ptePfn(pte);
+        ptes[i] = (((first_pfn + i) << pageShift) & pteFrameMask) |
+                  (pte & ~pteFrameMask);
+    }
+    mem_.writeWords(slots, ptes.data(), n);
+    leafEpoch_ += n;
+    for (int i = 0; i < n; ++i)
+        DMT_AUDIT_EVENT(auditor_);
+}
+
 std::optional<Pfn>
 RadixPageTable::tableFrameAt(Addr va, int level) const
 {

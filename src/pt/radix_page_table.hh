@@ -256,6 +256,21 @@ class RadixPageTable
     void updateLeaf(Addr va, Pfn new_pfn);
 
     /**
+     * Re-point the 4 KB leaves of [va, end) at first_pfn,
+     * first_pfn + 1, ...: leaf for leaf what updateLeaf() on each page
+     * in ascending order does, one leafEpoch() bump and audit event
+     * per leaf included, with one walk, one readWords() and one
+     * writeWords() of the range's slots. The range must be page
+     * aligned, lie inside one leaf-table span (2 MB) and be mapped
+     * by 4 KB leaves throughout.
+     *
+     * @param displaced receives each leaf's previous frame, in order;
+     *        must have room for the range's pages
+     */
+    void updateLeafSpan(Addr va, Addr end, Pfn first_pfn,
+                        Pfn *displaced);
+
+    /**
      * Move the leaf table page covering va to a new frame (TEA
      * migration support). Copies entries and repoints the parent.
      */

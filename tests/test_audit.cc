@@ -6,13 +6,15 @@
  * deliberately injected corruption: a scribbled TEA-backed table
  * pointer, a buddy double free, a stale TLB entry, a TLB entry whose
  * carried frame went stale, PWC pointers (radix and both 2-D
- * dimensions) left stale by a table move, and broken cache-set
- * recency order.
+ * dimensions) left stale by a table move, a buddy chunk summary
+ * out of step with its frames, and broken cache-set recency order.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "check/invariant_auditor.hh"
@@ -34,8 +36,8 @@ namespace dmt
 /**
  * Corruption-injection backdoor (befriended by BuddyAllocator and
  * Cache): plants an allocated block on a free list exactly as a
- * double free would, and overwrites raw cache ways, bypassing the
- * structures' own guards.
+ * double free would, skews a chunk's free-frame count, and overwrites
+ * raw cache ways, bypassing the structures' own guards.
  */
 class AuditCorruptor
 {
@@ -56,6 +58,14 @@ class AuditCorruptor
     removeFreeBlock(BuddyAllocator &alloc, Pfn base, int order)
     {
         alloc.freeLists_[order].erase(base);
+    }
+
+    /** Add `delta` to the free-frame count of chunk `chunk`. */
+    static void
+    skewChunkSummary(BuddyAllocator &alloc, std::size_t chunk, int delta)
+    {
+        alloc.chunkFree_[chunk] =
+            static_cast<std::uint16_t>(alloc.chunkFree_[chunk] + delta);
     }
 };
 
@@ -268,6 +278,30 @@ TEST_F(AuditFixture, BuddyDoubleFreeIsDetected)
     auditor.clearViolations();
     EXPECT_EQ(auditor.sweep(), 0u);
     alloc.freePages(*block, 2);
+    EXPECT_EQ(auditor.sweep(), 0u);
+}
+
+// A stale chunk count would let first fit skip a free run or take a
+// used one; the recount names the chunk.
+TEST_F(AuditFixture, StaleChunkSummaryIsDetected)
+{
+    alloc.attachAuditor(auditor, "buddy");
+    const auto run = alloc.allocContig(700, FrameKind::PageTable);
+    ASSERT_TRUE(run.has_value());
+    EXPECT_EQ(auditor.sweep(), 0u);
+
+    const std::size_t chunk = (*run + 600) >> 9;  // partly used
+    for (const int delta : {1, -1}) {
+        AuditCorruptor::skewChunkSummary(alloc, chunk, delta);
+        EXPECT_GT(auditor.sweep(), 0u) << delta;
+        EXPECT_TRUE(anyFromWith(auditor.violations(), "buddy",
+                                "chunk " + std::to_string(chunk)))
+            << delta;
+        AuditCorruptor::skewChunkSummary(alloc, chunk, -delta);
+        auditor.clearViolations();
+        EXPECT_EQ(auditor.sweep(), 0u);
+    }
+    alloc.freeContig(*run, 700);
     EXPECT_EQ(auditor.sweep(), 0u);
 }
 

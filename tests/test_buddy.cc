@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <set>
@@ -213,6 +214,20 @@ referenceFirstFit(const BuddyAllocator &alloc, std::uint64_t n)
     return std::nullopt;
 }
 
+/** Byte-at-a-time check of the frames an expandInPlace() would claim. */
+bool
+referenceCanExpand(const BuddyAllocator &alloc, Pfn start,
+                   std::uint64_t n)
+{
+    if (start + n > alloc.numFrames())
+        return false;
+    for (Pfn pfn = start; pfn < start + n; ++pfn) {
+        if (!alloc.isFree(pfn))
+            return false;
+    }
+    return true;
+}
+
 TEST(Buddy, AllocContigMatchesReferenceFirstFit)
 {
     struct Held
@@ -221,44 +236,78 @@ TEST(Buddy, AllocContigMatchesReferenceFirstFit)
         std::uint64_t pages;
         int order;  //!< buddy order, or -1 for a contiguous run
     };
-    for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-        Rng rng(seed);
-        // An odd frame count leaves the word-wise scans a ragged tail.
-        BuddyAllocator alloc((Pfn{1} << 13) + 13);
-        std::vector<Held> held;
-        for (int step = 0; step < 3000; ++step) {
-            const auto roll = rng.below(100);
-            if (roll < 35) {
-                const int order = static_cast<int>(rng.below(5));
-                const auto pfn =
-                    alloc.allocPages(order, FrameKind::Movable);
-                if (pfn)
-                    held.push_back({*pfn, std::uint64_t{1} << order,
-                                    order});
-            } else if (roll < 65) {
-                const std::uint64_t n =
-                    1 + rng.below(rng.below(4) == 0 ? 700 : 40);
-                const auto want = referenceFirstFit(alloc, n);
-                const auto got =
-                    alloc.allocContig(n, FrameKind::PageTable);
-                ASSERT_EQ(got, want) << "seed " << seed << " step "
-                                     << step << " pages " << n;
-                if (got)
-                    held.push_back({*got, n, -1});
-            } else if (!held.empty()) {
-                const auto idx = rng.below(held.size());
-                const Held h = held[idx];
-                if (h.order >= 0)
-                    alloc.freePages(h.base, h.order);
-                else
-                    alloc.freeContig(h.base, h.pages);
-                held[idx] = held.back();
-                held.pop_back();
+    struct Shape
+    {
+        Pfn frames;
+        int maxOrder;          //!< largest allocPages() order drawn
+        std::uint64_t bigRun;  //!< longest contiguous request
+        int steps;
+    };
+    // An odd frame count leaves the word-wise scans and the last
+    // 512-frame chunk of the free summary ragged. The large shape
+    // spreads its blocks over hundreds of chunks, with requests that
+    // straddle chunk edges or span several chunks.
+    for (const Shape shape : {Shape{(Pfn{1} << 13) + 13, 4, 700, 3000},
+                              Shape{(Pfn{1} << 17) + 13, 9, 1500, 1500}}) {
+        for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+            Rng rng(seed);
+            BuddyAllocator alloc(shape.frames);
+            std::vector<Held> held;
+            for (int step = 0; step < shape.steps; ++step) {
+                const auto roll = rng.below(100);
+                if (roll < 35) {
+                    const int order = static_cast<int>(
+                        rng.below(shape.maxOrder + 1));
+                    const auto pfn =
+                        alloc.allocPages(order, FrameKind::Movable);
+                    if (pfn)
+                        held.push_back({*pfn,
+                                        std::uint64_t{1} << order, order});
+                } else if (roll < 60) {
+                    const std::uint64_t n =
+                        1 + rng.below(rng.below(4) == 0 ? shape.bigRun
+                                                        : 40);
+                    const auto want = referenceFirstFit(alloc, n);
+                    const auto got =
+                        alloc.allocContig(n, FrameKind::PageTable);
+                    ASSERT_EQ(got, want)
+                        << "frames " << shape.frames << " seed " << seed
+                        << " step " << step << " pages " << n;
+                    if (got)
+                        held.push_back({*got, n, -1});
+                } else if (roll < 70 && !held.empty()) {
+                    // Grow a held run (a buddy block stands in for
+                    // one) by the frames right after it.
+                    Held &h = held[rng.below(held.size())];
+                    const std::uint64_t extra =
+                        1 + rng.below(rng.below(2) == 0 ? 600 : 8);
+                    const bool want = referenceCanExpand(
+                        alloc, h.base + h.pages, extra);
+                    ASSERT_EQ(alloc.expandInPlace(h.base, h.pages, extra,
+                                                  FrameKind::PageTable),
+                              want)
+                        << "frames " << shape.frames << " seed " << seed
+                        << " step " << step << " run " << h.base << "+"
+                        << h.pages << " extra " << extra;
+                    if (want) {
+                        h.pages += extra;
+                        h.order = -1;
+                    }
+                } else if (!held.empty()) {
+                    const auto idx = rng.below(held.size());
+                    const Held h = held[idx];
+                    if (h.order >= 0)
+                        alloc.freePages(h.base, h.order);
+                    else
+                        alloc.freeContig(h.base, h.pages);
+                    held[idx] = held.back();
+                    held.pop_back();
+                }
+                if (step % 500 == 0)
+                    alloc.checkConsistency();
             }
-            if (step % 500 == 0)
-                alloc.checkConsistency();
+            alloc.checkConsistency();
         }
-        alloc.checkConsistency();
     }
 }
 

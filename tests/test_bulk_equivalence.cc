@@ -5,7 +5,9 @@
  * frees every leaf frame on its own and then the table pages one by
  * one. ShadowPager::syncAll() shadows a 2 MB span of 4 KB guest
  * leaves at a time; its reference is syncPage() on every guest leaf.
- * Each pair must leave the same allocators, memory and tables.
+ * A TEA grant's replaceBacking() splices its run a span at a time;
+ * its reference splices one page per call. Each pair must leave the
+ * same allocators, memory and tables.
  */
 
 #include <gtest/gtest.h>
@@ -203,8 +205,8 @@ class TeardownMachine
     {
         const Pfn old = space.pageTable().translate(va)->pa >> pageShift;
         const Pfn temp = *alloc.allocPages(0, FrameKind::PageTable);
-        space.replaceBacking(va, temp);  // frees `old`
-        space.replaceBacking(va, claimFrame(alloc, old));
+        space.replaceBacking(va, temp, 1);  // frees `old`
+        space.replaceBacking(va, claimFrame(alloc, old), 1);
         spliced.insert(temp);  // displaced, still the caller's
         spliced.insert(old);
     }
@@ -243,13 +245,13 @@ class TeardownMachine
             spliceInPlace(space, alloc, va, spliced);
         const Pfn far = *alloc.allocPages(4, FrameKind::PageTable);
         space.replaceBacking(std::get<0>(leaves[leaves.size() / 2]),
-                             far + 5);
+                             far + 5, 1);
         spliced.insert(far + 5);
     }
 
     /**
      * What TeaHypercall::allocTea does: a host run spliced behind a
-     * run of guest frames, page by page in the container.
+     * run of guest frames, in one call on the container.
      */
     void
     grant()
@@ -259,11 +261,10 @@ class TeardownMachine
                                                  FrameKind::PageTable);
         const Pfn gpa = *guestAlloc_->allocContig(pages,
                                                   FrameKind::PageTable);
-        for (std::uint64_t i = 0; i < pages; ++i) {
-            host_->replaceBacking(gpaBaseHva + ((gpa + i) << pageShift),
-                                  host + i);
+        host_->replaceBacking(gpaBaseHva + (gpa << pageShift), host,
+                              pages);
+        for (std::uint64_t i = 0; i < pages; ++i)
             hostSpliced_.insert(host + i);
-        }
         // And one spliced in place behind a free guest frame.
         const Pfn lone = *guestAlloc_->allocPages(0, FrameKind::PageTable);
         spliceInPlace(*host_, hostAlloc_,
@@ -457,7 +458,7 @@ class ShadowMachine
             const Pfn host = *hostAlloc_.allocPages(0,
                                                     FrameKind::PageTable);
             vm_->containerSpace().replaceBacking(
-                vm_->gpaToHva(gpfn << pageShift), host);
+                vm_->gpaToHva(gpfn << pageShift), host, 1);
         }
         shadow_ = std::make_unique<ShadowPager>(mem_, hostAlloc_, guest,
                                                 vm_->guestMem());
@@ -535,6 +536,181 @@ INSTANTIATE_TEST_SUITE_P(
         ShadowCase{"host_thp_guest_thp", ThpMode::Always,
                    ThpMode::Always}),
     [](const ::testing::TestParamInfo<ShadowCase> &param) {
+        return std::string(param.param.name);
+    });
+
+// --------------------------------------------------------------- splice
+
+struct SpliceCase
+{
+    const char *name;
+    ThpMode hostThp;
+};
+
+void
+PrintTo(const SpliceCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** A grant: fresh host frames behind `pages` guest frames from gpfn. */
+struct Grant
+{
+    Pfn gpfn;
+    std::uint64_t pages;
+};
+
+/**
+ * Grants that start and end mid-span, cover a whole span or several,
+ * land in spans a 2 MB container leaf maps, and re-splice over the
+ * frames of earlier grants, in whole or in part. With THP, the first
+ * grant frees a lone frame in its first span that the demotion of its
+ * second span takes for its table page, if the frees come first.
+ */
+const std::vector<Grant> spliceGrants = {
+    {301, 400},    // mid-span to mid-span, across one span edge
+    {1000, 1100},  // mid-span, over two whole spans, into a fourth
+    {350, 100},    // inside the first grant's frames
+    {3072, 512},   // exactly one aligned span
+    {4000, 1},     // one page
+    {2050, 60},    // half over the second grant, half fresh
+    {250, 600},    // around the first and third grants
+};
+
+/**
+ * A VM whose container gets spliceGrants, each a fresh host run
+ * spliced as one replaceBacking() run or as `pages` one-page runs,
+ * with the host allocator and the container table swept at every
+ * mutation event.
+ */
+class SpliceMachine
+{
+  public:
+    SpliceMachine(const SpliceCase &c, bool as_run)
+        : mem_(Addr{48} << 20), hostAlloc_(mem_.size() >> pageShift)
+    {
+        VmConfig vc;
+        vc.vmBytes = Addr{24} << 20;
+        vc.hostThp = c.hostThp;
+        vm_ = std::make_unique<VirtualMachine>(mem_, hostAlloc_, vc);
+        AddressSpace &container = vm_->containerSpace();
+        hostAlloc_.attachAuditor(auditor_, "host-buddy");
+        container.pageTable().attachAuditor(auditor_, "container-pt");
+        auditor_.setInterval(1);
+        for (const Grant &g : spliceGrants) {
+            const Pfn host =
+                *hostAlloc_.allocContig(g.pages, FrameKind::PageTable);
+            const Addr hva = vm_->gpaToHva(g.gpfn << pageShift);
+            if (as_run) {
+                container.replaceBacking(hva, host, g.pages);
+            } else {
+                for (std::uint64_t i = 0; i < g.pages; ++i) {
+                    container.replaceBacking(hva + (i << pageShift),
+                                             host + i, 1);
+                }
+            }
+            granted.push_back({host, g.pages});
+        }
+        auditor_.setInterval(0);
+    }
+
+    VirtualMachine &vm() { return *vm_; }
+    BuddyAllocator &hostAlloc() { return hostAlloc_; }
+    PhysicalMemory &mem() { return mem_; }
+    InvariantAuditor &auditor() { return auditor_; }
+
+    /** Tear the VM down; the granted frames stay allocated. */
+    void dropVm() { vm_.reset(); }
+
+    /** The host run of every grant, in grant order. */
+    std::vector<FrameRun> granted;
+
+  private:
+    InvariantAuditor auditor_;  // outlives everything it audits
+    PhysicalMemory mem_;
+    BuddyAllocator hostAlloc_;
+    std::unique_ptr<VirtualMachine> vm_;
+};
+
+class SpliceEquivalence : public ::testing::TestWithParam<SpliceCase>
+{
+};
+
+TEST_P(SpliceEquivalence, RunSpliceMatchesOnePageAtATime)
+{
+    const SpliceCase &c = GetParam();
+    SpliceMachine runs(c, true);
+    SpliceMachine pages(c, false);
+    const AddressSpace &got = runs.vm().containerSpace();
+    const AddressSpace &want = pages.vm().containerSpace();
+    EXPECT_EQ(leavesOf(got.pageTable()), leavesOf(want.pageTable()));
+    EXPECT_EQ(got.dataFrames(), want.dataFrames());
+    EXPECT_EQ(got.hugeMappings(), want.hugeMappings());
+    EXPECT_EQ(got.pageTable().tablePages(), want.pageTable().tablePages());
+    EXPECT_EQ(got.pageTable().leafEpoch(), want.pageTable().leafEpoch());
+    EXPECT_EQ(runs.mem().framesInUse(), pages.mem().framesInUse());
+    EXPECT_EQ(runs.mem().wordsInUse(), pages.mem().wordsInUse());
+    EXPECT_EQ(runs.granted.size(), pages.granted.size());
+    for (std::size_t i = 0; i < runs.granted.size(); ++i)
+        EXPECT_EQ(runs.granted[i].base, pages.granted[i].base) << i;
+
+    // The container gave up one frame per guest page ever spliced;
+    // a re-spliced page displaced a granted frame, not its own.
+    std::set<Pfn> splicedPages;
+    for (const Grant &g : spliceGrants) {
+        for (std::uint64_t i = 0; i < g.pages; ++i)
+            splicedPages.insert(g.gpfn + i);
+    }
+    const std::uint64_t vmFrames = (Addr{24} << 20) >> pageShift;
+    EXPECT_EQ(got.dataFrames(), vmFrames - splicedPages.size());
+    if (c.hostThp == ThpMode::Always) {
+        // Grants land in spans 0-4, 6 and 7 of the twelve.
+        EXPECT_EQ(got.hugeMappings(), 5u);
+    }
+    for (SpliceMachine *m : {&runs, &pages}) {
+        EXPECT_TRUE(m->auditor().clean());
+        EXPECT_GT(m->auditor().stats().sweeps, splicedPages.size());
+    }
+    expectSameAllocator(runs.hostAlloc(), pages.hostAlloc());
+
+    // Teardown frees every frame the container owns and no granted
+    // frame, displaced or still mapped.
+    runs.dropVm();
+    pages.dropVm();
+    expectSameAllocator(runs.hostAlloc(), pages.hostAlloc());
+    std::uint64_t grantedFrames = 0;
+    for (const FrameRun &run : runs.granted) {
+        grantedFrames += run.pages;
+        for (Pfn pfn = run.base; pfn < run.base + run.pages; ++pfn) {
+            ASSERT_EQ(runs.hostAlloc().kindOf(pfn), FrameKind::PageTable)
+                << pfn;
+        }
+    }
+    EXPECT_EQ(runs.hostAlloc().freeFrames(),
+              runs.hostAlloc().numFrames() - grantedFrames);
+}
+
+// A grant whose frames are spliced here already is a double splice.
+TEST(SpliceDeathTest, OverlappingGrantPanics)
+{
+    PhysicalMemory mem(Addr{16} << 20);
+    BuddyAllocator alloc(mem.size() >> pageShift);
+    AddressSpace space(mem, alloc, {});
+    space.mmapAt(0x40000000, 64 * pageSize, VmaKind::Heap);
+    const Pfn host = *alloc.allocContig(12, FrameKind::PageTable);
+    space.replaceBacking(0x40000000, host, 8);
+    // Touching the run is fine; sharing a frame is not.
+    space.replaceBacking(0x40000000 + 8 * pageSize, host + 8, 4);
+    EXPECT_DEATH(space.replaceBacking(0x40000000 + 20 * pageSize,
+                                      host + 3, 2),
+                 "overlap a spliced run");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, SpliceEquivalence,
+    ::testing::Values(SpliceCase{"container_4k", ThpMode::Never},
+                      SpliceCase{"container_thp", ThpMode::Always}),
+    [](const ::testing::TestParamInfo<SpliceCase> &param) {
         return std::string(param.param.name);
     });
 

@@ -180,7 +180,7 @@ TEST_F(SpaceFixture, ReplaceBackingSplicesNewFrame)
     proc.mmapAt(0x100000, 4 * pageSize, VmaKind::Heap);
     const auto mine = alloc.allocPages(0, FrameKind::PageTable);
     ASSERT_TRUE(mine.has_value());
-    proc.replaceBacking(0x101000, *mine);
+    proc.replaceBacking(0x101000, *mine, 1);
     EXPECT_EQ(proc.pageTable().translate(0x101000)->pfn, *mine);
     // munmap must not free the caller-owned frame.
     proc.munmap(0x100000);
@@ -196,7 +196,7 @@ TEST_F(SpaceFixture, ReplaceBackingDemotesHugePage)
     proc.mmapAt(0x40000000, hugePageSize, VmaKind::Heap);
     EXPECT_EQ(proc.hugeMappings(), 1u);
     const auto mine = alloc.allocPages(0, FrameKind::PageTable);
-    proc.replaceBacking(0x40000000 + 5 * pageSize, *mine);
+    proc.replaceBacking(0x40000000 + 5 * pageSize, *mine, 1);
     EXPECT_EQ(proc.hugeMappings(), 0u);
     const auto tr = proc.pageTable().translate(0x40000000);
     EXPECT_EQ(tr->size, PageSize::Size4K);
@@ -222,7 +222,7 @@ TEST_F(SpaceFixture, SplicedFramesSurviveMunmapAndTeardown)
         auto splice = [&](Addr va) {
             const auto frame = alloc.allocPages(0, FrameKind::PageTable);
             ASSERT_TRUE(frame.has_value());
-            proc.replaceBacking(va, *frame);
+            proc.replaceBacking(va, *frame, 1);
             spliced.push_back(*frame);
         };
         splice(0x40000000 + 7 * pageSize);  // demotes a huge page

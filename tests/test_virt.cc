@@ -74,7 +74,7 @@ TEST_F(VirtFixture, GuestViewFollowsRepointedBacking)
     const auto spliced = hostAlloc.allocPages(0, FrameKind::PageTable);
     ASSERT_TRUE(spliced.has_value());
     hostMem.write64((*spliced << pageShift) + offset, 0x2222ull);
-    vm->containerSpace().replaceBacking(hva, *spliced);
+    vm->containerSpace().replaceBacking(hva, *spliced, 1);
     EXPECT_EQ(vm->guestMem().read64(gpa), 0x2222ull);
     EXPECT_EQ(vm->gpaToHostPa(gpa), (*spliced << pageShift) + offset);
 
@@ -314,10 +314,7 @@ TEST_F(ShadowHugeFixture, AlignedRunOfHostSmallLeavesKeepsShadowLeafHuge)
     // still mapped as 4 KB pages.
     const auto run = hostAlloc.allocPages(9, FrameKind::Movable);
     ASSERT_TRUE(run.has_value());
-    for (Addr i = 0; i < 512; ++i) {
-        vm->containerSpace().replaceBacking(
-            vm->gpaToHva(gpa + i * pageSize), *run + i);
-    }
+    vm->containerSpace().replaceBacking(vm->gpaToHva(gpa), *run, 512);
     ASSERT_EQ(hostLeafSize(), PageSize::Size4K);
     ASSERT_EQ(hostLeafSize(hugePageSize - pageSize), PageSize::Size4K);
     const auto leaves = shadowLeaves();
@@ -334,7 +331,7 @@ TEST_F(ShadowHugeFixture, OneSplicedHostFrameShattersShadowLeaf)
     const auto frame = hostAlloc.allocPages(0, FrameKind::Movable);
     ASSERT_TRUE(frame.has_value());
     vm->containerSpace().replaceBacking(vm->gpaToHva(gpa + 7 * pageSize),
-                                        *frame);
+                                        *frame, 1);
     ASSERT_EQ(hostLeafSize(), PageSize::Size4K);
     const auto leaves = shadowLeaves();
     ASSERT_EQ(leaves.size(), 512u);
@@ -403,7 +400,7 @@ TEST(NestedStackTest, L2ViewFollowsRepointedBackingAtBothLevels)
     stack.vm1().guestMem().write64((*l1Frame << pageShift) + offset,
                                    0x2222ull);
     stack.l1Container().replaceBacking(stack.l2paToL1va(l2pa),
-                                       *l1Frame);
+                                       *l1Frame, 1);
     EXPECT_EQ(stack.l2Mem().read64(l2pa), 0x2222ull);
 
     // Repoint at L0 underneath: only the inner view's table changed.
@@ -411,7 +408,7 @@ TEST(NestedStackTest, L2ViewFollowsRepointedBackingAtBothLevels)
     ASSERT_TRUE(l0Frame.has_value());
     l0Mem.write64((*l0Frame << pageShift) + offset, 0x3333ull);
     stack.vm1().containerSpace().replaceBacking(
-        stack.vm1().gpaToHva(*l1Frame << pageShift), *l0Frame);
+        stack.vm1().gpaToHva(*l1Frame << pageShift), *l0Frame, 1);
     EXPECT_EQ(stack.l2Mem().read64(l2pa), 0x3333ull);
     EXPECT_EQ(stack.l2paToL0pa(l2pa), (*l0Frame << pageShift) + offset);
 }
