@@ -68,30 +68,11 @@ testbedConfig(bool thp)
 }
 
 Outcome
-runNative(Workload &workload, Design design, bool thp,
-          std::uint64_t seed)
+runCell(Workload &workload, driver::CampaignEnv env, Design design,
+        bool thp, bool record_steps)
 {
-    return driver::runCell(workload, driver::CampaignEnv::Native,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(), seed);
-}
-
-Outcome
-runVirt(Workload &workload, Design design, bool thp,
-        std::uint64_t seed, bool record_steps)
-{
-    return driver::runCell(workload, driver::CampaignEnv::Virt,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(record_steps), seed);
-}
-
-Outcome
-runNested(Workload &workload, Design design, bool thp,
-          std::uint64_t seed)
-{
-    return driver::runCell(workload, driver::CampaignEnv::Nested,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(), seed);
+    return driver::runCell(workload, env, design, testbedConfig(thp),
+                           simConfigFromEnv(record_steps), 42);
 }
 
 Table::Table(std::vector<std::string> header)

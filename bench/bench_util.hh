@@ -1,13 +1,14 @@
 /**
  * @file
- * Shared harness code for the per-figure/table benchmark binaries.
+ * Shared harness code for the figure/table benchmark binaries.
  *
- * Every binary in bench/ regenerates one table or figure of the
- * paper: it builds fresh testbeds per (workload, design, page-size)
- * cell, runs the trace-driven simulation, applies the §5 execution
- * model, and prints the same rows/series the paper reports. The cell
- * execution itself lives in src/driver (shared with dmt-campaign);
- * this layer adds environment sizing and table/JSON presentation.
+ * Each figure bench regenerates tables or figures of the paper
+ * (paper_figures five of them, from one grid of cells): it runs each
+ * (workload, environment, design, page-size) cell on a fresh testbed
+ * through runCell, applies the §5 execution model, and prints the
+ * same rows/series the paper reports. The cell execution itself
+ * lives in src/driver (shared with dmt-campaign); this layer adds
+ * environment sizing and table/JSON presentation.
  *
  * Environment knobs (all optional):
  *   DMT_BENCH_ACCESSES  measured accesses per cell (default 1000000)
@@ -57,17 +58,13 @@ double scaleFromEnv();
  */
 TestbedConfig testbedConfig(bool thp);
 
-/** Run one native cell. */
-Outcome runNative(Workload &workload, Design design, bool thp,
-                  std::uint64_t seed = 42);
-
-/** Run one single-level virtualization cell. */
-Outcome runVirt(Workload &workload, Design design, bool thp,
-                std::uint64_t seed = 42, bool record_steps = false);
-
-/** Run one nested-virtualization cell. */
-Outcome runNested(Workload &workload, Design design, bool thp,
-                  std::uint64_t seed = 42);
+/**
+ * Run one cell at seed 42 on a fresh testbed sized from the
+ * environment (testbedConfig, simConfigFromEnv). `record_steps`
+ * keeps per-step walk costs (Figure 16).
+ */
+Outcome runCell(Workload &workload, driver::CampaignEnv env,
+                Design design, bool thp, bool record_steps = false);
 
 /** Pretty-print a table: header + rows of fixed-width columns. */
 class Table

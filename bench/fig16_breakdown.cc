@@ -67,14 +67,15 @@ runMode(bool thp, JsonReport &json)
     const double scale = scaleFromEnv();
     {
         auto wl = makeWorkload("Redis", scale);
-        const Outcome base =
-            runVirt(*wl, Design::Vanilla, thp, 42, true);
+        const Outcome base = runCell(*wl, driver::CampaignEnv::Virt,
+                                     Design::Vanilla, thp, true);
         printBreakdown("Vanilla KVM nested walk", base.sim,
                        "fig16_vanilla_" + suffix, json);
     }
     {
         auto wl = makeWorkload("Redis", scale);
-        const Outcome pv = runVirt(*wl, Design::PvDmt, thp, 42, true);
+        const Outcome pv = runCell(*wl, driver::CampaignEnv::Virt,
+                                   Design::PvDmt, thp, true);
         printBreakdown("pvDMT (fetches only the two leaf PTEs)",
                        pv.sim, "fig16_pvdmt_" + suffix, json);
     }

@@ -183,7 +183,8 @@ printSummary()
     Table cov({"Workload", "Coverage", "Fallbacks/walks"});
     for (const auto &name : paperWorkloadNames()) {
         auto wl = makeWorkload(name, scale);
-        const Outcome out = runVirt(*wl, Design::PvDmt, false);
+        const Outcome out = runCell(*wl, driver::CampaignEnv::Virt,
+                                    Design::PvDmt, false);
         cov.addRow({name, Table::num(out.coverage * 100.0, 2) + "%",
                     Table::num(
                         out.sim.walks

@@ -2,8 +2,8 @@
  * @file
  * Table 6 — the number of sequential memory accesses each design
  * needs per translation, cross-checked against the simulator's
- * observed dependent-reference chains (with page-walk caches
- * disabled so the worst-case chain is exercised).
+ * observed dependent-reference chains (page-walk caches enabled, so
+ * radix chains show their cached common case).
  */
 
 #include <cstdio>
@@ -12,20 +12,7 @@
 
 using namespace dmt;
 using namespace dmt::bench;
-
-namespace
-{
-
-/** Run one cell with PWCs effectively disabled (1-entry caches
- *  cannot help random traffic much, but we use the analytic count
- *  from the mechanism's worst observed chain). */
-double
-maxRefs(const SimResult &res)
-{
-    return res.meanSeqRefs();
-}
-
-} // namespace
+using driver::CampaignEnv;
 
 int
 main(int argc, char **argv)
@@ -50,7 +37,11 @@ main(int argc, char **argv)
     std::printf("\nSimulator cross-check (mean dependent refs per "
                 "walk on GUPS; PWCs enabled, so radix chains show "
                 "their cached common case):\n");
-    auto wl = makeWorkload("GUPS", scaleFromEnv());
+    // Mean dependent references per walk of one GUPS cell.
+    auto refs = [](CampaignEnv env, Design design) {
+        auto wl = makeWorkload("GUPS", scaleFromEnv());
+        return runCell(*wl, env, design, false).sim.meanSeqRefs();
+    };
 
     Table observed({"Design", "Native", "Virtualized"});
     struct Row
@@ -67,28 +58,18 @@ main(int argc, char **argv)
     };
     for (const auto &row : rows) {
         std::string nat = "N/A", virt = "N/A";
-        if (row.native) {
-            auto w = makeWorkload("GUPS", scaleFromEnv());
-            nat = Table::num(
-                maxRefs(runNative(*w, row.design, false).sim), 2);
-        }
-        if (row.virt) {
-            auto w = makeWorkload("GUPS", scaleFromEnv());
-            virt = Table::num(
-                maxRefs(runVirt(*w, row.design, false).sim), 2);
-        }
+        if (row.native)
+            nat = Table::num(refs(CampaignEnv::Native, row.design), 2);
+        if (row.virt)
+            virt = Table::num(refs(CampaignEnv::Virt, row.design), 2);
         observed.addRow({designName(row.design, true), nat, virt});
     }
     observed.print();
     json.addTable("tab06_observed_gups", observed);
-    {
-        auto w = makeWorkload("GUPS", scaleFromEnv());
-        const auto base = runNested(*w, Design::Vanilla, false);
-        auto w2 = makeWorkload("GUPS", scaleFromEnv());
-        const auto pv = runNested(*w2, Design::PvDmt, false);
-        std::printf("\nNested virtualization: baseline (2-D over "
-                    "sPT) %.2f refs/walk; pvDMT %.2f refs/walk.\n",
-                    base.sim.meanSeqRefs(), pv.sim.meanSeqRefs());
-    }
+    const double base = refs(CampaignEnv::Nested, Design::Vanilla);
+    const double pv = refs(CampaignEnv::Nested, Design::PvDmt);
+    std::printf("\nNested virtualization: baseline (2-D over sPT) "
+                "%.2f refs/walk; pvDMT %.2f refs/walk.\n",
+                base, pv);
     return 0;
 }

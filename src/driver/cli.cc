@@ -207,10 +207,16 @@ writeFile(const std::string &path,
 void
 checkWritable(const std::string &path)
 {
+    // An empty path or a directory would pass the parent check below
+    // and fail only in writeFile(), after the run.
+    std::error_code ec;
+    if (path.empty() || std::filesystem::is_directory(path, ec)) {
+        fatal("cannot open '%s' for writing: %s", path.c_str(),
+              path.empty() ? "the path is empty" : "it is a directory");
+    }
     const std::filesystem::path parent =
         std::filesystem::path(path).parent_path();
     const std::string dir = parent.empty() ? "." : parent.string();
-    std::error_code ec;
     if (!std::filesystem::is_directory(dir, ec) ||
         ::access(dir.c_str(), W_OK) != 0) {
         fatal("cannot open '%s' for writing: '%s' is not a writable "

@@ -134,7 +134,6 @@ writeGolden(const std::string &path, const std::string &design,
                    static_cast<std::uint64_t>(stat.sum()));
     json.endObject();
     json.endObject();
-    os << "\n";
 }
 
 /** Parse the flat `"name": integer` pairs of a golden document. */
